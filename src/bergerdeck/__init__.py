@@ -12,7 +12,7 @@ from .operators import (assemble_bilaplacian, assemble_d2_1d,
                         assemble_dy4, dump_triplets, free_edge_stencil_report)
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
-                     hstar_form, lambda1_estimate, total_energy)
+                     lambda1_estimate)
 from .integrator import (FactorizedSystem, OperatorSet, RunResult, SimState,
                          bootstrap, build_operators, dump_snapshot, run, step)
 from .decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw, DecayLaw,

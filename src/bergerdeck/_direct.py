@@ -1,4 +1,4 @@
-"""Direct sparse solves with iterative refinement against a residual contract."""
+"""Direct sparse solves checked against a residual contract."""
 
 from __future__ import annotations
 
@@ -8,30 +8,35 @@ from .errors import SolveError
 
 
 def refine_solve(lu, matrix, rhs: np.ndarray, rtol: float,
-                 max_refine: int = 4,
                  backward_scale: bool = False) -> tuple[np.ndarray, float]:
-    """Solve with the factorization, refining until the relative residual
-    meets ``rtol``.
+    """Solve with the factorization and check the relative residual
+    against ``rtol``, with one correction sweep if the first solve misses.
+
+    Near the float64 floor (the preset plate at dt >= 0.15) one correction
+    sweep can bring a residual just above ``rtol`` under it; further sweeps
+    never did, so a second miss raises SolveError with the residual.
 
     With ``backward_scale`` the residual is measured against
     max(||rhs||, || |A| |x| ||), the normwise backward-error scale; float64
     cannot certify ||A x - b|| <= rtol ||b|| once eps * ||A|| ||x|| exceeds
     rtol * ||b||, which the stiff fourth-order operator reaches on fine
-    grids.  Raises SolveError (with the achieved residual) if the
-    refinement budget runs out.
+    grids.
     """
     rhs_norm = max(float(np.linalg.norm(rhs)), 1e-300)
-    abs_matrix = abs(matrix) if backward_scale else None
-    x = lu.solve(rhs)
-    for _ in range(max_refine + 1):
+
+    def residual_of(x: np.ndarray) -> tuple[np.ndarray, float]:
         residual_vec = rhs - matrix @ x
         scale = rhs_norm
         if backward_scale:
-            scale = max(rhs_norm, float(np.linalg.norm(abs_matrix @ np.abs(x))))
-        residual = float(np.linalg.norm(residual_vec)) / scale
-        if residual <= rtol:
-            return x, residual
+            scale = max(rhs_norm, float(np.linalg.norm(abs(matrix) @ np.abs(x))))
+        return residual_vec, float(np.linalg.norm(residual_vec)) / scale
+
+    x = lu.solve(rhs)
+    residual_vec, residual = residual_of(x)
+    if residual > rtol:
         x = x + lu.solve(residual_vec)
-    raise SolveError(
-        f"solve residual {residual:.3e} exceeds {rtol:.1e} after "
-        f"{max_refine} refinement sweeps", residual=residual)
+        _, residual = residual_of(x)
+    if residual > rtol:
+        raise SolveError(f"solve residual {residual:.3e} exceeds {rtol:.1e} "
+                         f"after one correction sweep", residual=residual)
+    return x, residual

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,13 +20,11 @@ from .decaylaw import fit_decay, fit_report_row
 from .energy import EnergyRecord, lambda1_estimate
 from .errors import (BergerdeckError, ConfigError, ConvergenceError,
                      NonFiniteError, PlotError, SolveError)
-from .grid import build_grid
+from .grid import build_grid, build_weights
 from .integrator import RunResult, build_operators, dump_snapshot, run
 from .model import (FeedbackKind, Linear, feedback_from_name, feedback_name,
                     make_model)
 from .staticsolve import sin_load, solve_static
-
-THREADS_ENV = "BERGERDECK_THREADS"
 
 
 @dataclass(frozen=True)
@@ -89,23 +86,15 @@ _FLOAT_KEYS = {"l", "sigma", "P", "S", "dt", "T"}
 
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
+    """Check what the library does not (time window, stride, paths,
+    finiteness), then build the grid, weights and model so their own
+    checks run; any failure becomes a ConfigError prefixed by ``where``."""
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
 
-    if cfg.J < 5:
-        fail(f"J must be at least 5, got {cfg.J}")
-    if (cfg.J + 1) % 2 != 0:
-        fail(f"J must be odd so Simpson weights exist, got {cfg.J}")
-    if cfg.K < 3:
-        fail(f"K must be at least 3, got {cfg.K}")
-    if not cfg.l > 0:
-        fail(f"l must be positive, got {cfg.l}")
-    if not 0.0 < cfg.sigma < 0.5:
-        fail(f"sigma must lie in (0, 1/2), got {cfg.sigma}")
-    if cfg.S < 0:
-        fail(f"S must be nonnegative, got {cfg.S}")
-    if cfg.width < 0:
-        fail(f"damping width must be nonnegative, got {cfg.width}")
+    for value in (cfg.l, cfg.sigma, cfg.P, cfg.S, cfg.dt, cfg.T, *cfg.snapshots):
+        if not math.isfinite(value):
+            fail(f"non-finite numeric value {value}")
     if not cfg.dt > 0:
         fail(f"dt must be positive, got {cfg.dt}")
     if cfg.T < 0:
@@ -116,9 +105,13 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
         fail("csv path must be nonempty")
     if cfg.svg is not None and not cfg.svg:
         fail("svg path must be nonempty when given")
-    for value in (cfg.l, cfg.sigma, cfg.P, cfg.S, cfg.dt, cfg.T, *cfg.snapshots):
-        if not math.isfinite(value):
-            fail(f"non-finite numeric value {value}")
+    try:
+        grid = build_grid(cfg.J, cfg.K, cfg.l)
+        build_weights(grid)
+        make_model(grid, sigma=cfg.sigma, P=cfg.P, S=cfg.S,
+                   feedback=cfg.feedback, damping_width=cfg.width)
+    except BergerdeckError as exc:
+        fail(str(exc))
     return cfg
 
 
@@ -358,12 +351,15 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
+    if round(cfg.T / cfg.dt) < 1:
+        raise ConfigError(f"T = {cfg.T:g} rounds to 0 steps of dt = {cfg.dt:g}; "
+                          f"run needs at least one step")
     result = run_config(cfg)
     write_energy_csv(result.records, cfg.csv)
-    for t_req, (t_actual, field_vec) in result.snapshots.items():
-        stem, _, _ = cfg.csv.rpartition(".")
-        dump_snapshot(field_vec, build_grid(cfg.J, cfg.K, cfg.l),
-                      f"{stem or cfg.csv}_snapshot_t{t_req:g}.csv")
+    grid = build_grid(cfg.J, cfg.K, cfg.l)
+    stem = os.path.splitext(cfg.csv)[0]
+    for t_req, (_, field_vec) in result.snapshots.items():
+        dump_snapshot(field_vec, grid, f"{stem}_snapshot_t{t_req:g}.csv")
     if cfg.svg:
         emit_svg_plot(result.records, cfg.svg,
                       title=f"energy, feedback {feedback_name(cfg.feedback)}")
@@ -390,34 +386,22 @@ def _cmd_decay_fit(args) -> int:
     return 0
 
 
-def _sweep_worker(name: str, out_dir: str) -> tuple[str, str]:
-    cfg = preset(name)
-    result = run_config(cfg)
-    csv_path = os.path.join(out_dir, f"{name}_energy.csv")
-    write_energy_csv(result.records, csv_path)
-    ts = np.array([rec.t for rec in result.records])
-    es = np.array([rec.total for rec in result.records])
-    fit = fit_decay(ts, es)
-    svg_path = os.path.join(out_dir, f"{name}_energy.svg")
-    emit_svg_plot(result.records, svg_path,
-                  title=f"{name}: feedback {feedback_name(cfg.feedback)}")
-    return name, fit_report_row(name, fit)
-
-
 def _cmd_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    names = ("fig6", "fig7", "fig8")
-    env_cap = os.environ.get(THREADS_ENV)
-    workers = max(1, int(env_cap)) if env_cap else min(len(names), os.cpu_count() or 1)
-    rows = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for name, row in pool.map(lambda n: _sweep_worker(n, args.out_dir), names):
-            rows[name] = row
+    rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
+    for name in ("fig6", "fig7", "fig8"):
+        cfg = preset(name)
+        result = run_config(cfg)
+        stem = os.path.join(args.out_dir, f"{name}_energy")
+        write_energy_csv(result.records, f"{stem}.csv")
+        ts = np.array([rec.t for rec in result.records])
+        es = np.array([rec.total for rec in result.records])
+        rows.append(fit_report_row(name, fit_decay(ts, es)))
+        emit_svg_plot(result.records, f"{stem}.svg",
+                      title=f"{name}: feedback {feedback_name(cfg.feedback)}")
     report = os.path.join(args.out_dir, "decay_fits.csv")
     with open(report, "w", newline="") as handle:
-        handle.write("preset,best_model,rate_or_exponent,r2_exp,r2_alg\n")
-        for name in names:
-            handle.write(rows[name] + "\n")
+        handle.write("\n".join(rows) + "\n")
     print(f"wrote {report}")
     return 0
 

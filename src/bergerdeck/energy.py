@@ -116,20 +116,6 @@ class PlateFormEvaluator:
                             dissipated_cum=dissipated_cum)
 
 
-def hstar_form(U: np.ndarray, grid: Grid, sigma: float,
-               weights: QuadratureWeights) -> float:
-    """Quadrature of F(u,u) for a flattened field."""
-    return PlateFormEvaluator(grid, sigma, weights).form_value(U)
-
-
-def total_energy(state: "SimState", model: ModelConfig,
-                 weights: QuadratureWeights,
-                 dissipated_cum: float = 0.0) -> EnergyRecord:
-    """Energy record of a simulation state (velocity = backward difference)."""
-    return PlateFormEvaluator(model.grid, model.sigma, weights).record(
-        state, model, dissipated_cum)
-
-
 def dissipation_residual(records: list[EnergyRecord],
                          eps_floor: float = 1e-300) -> float:
     """Worst violation of the energy identity between consecutive records.

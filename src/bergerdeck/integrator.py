@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from ._direct import refine_solve
 from .energy import EnergyRecord, PlateFormEvaluator
-from .errors import NonFiniteError, ShapeError, SolveError
+from .errors import NonFiniteError, ParameterError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import ModelConfig, berger_coefficient, eval_feedback
 from .operators import SparseOperator, assemble_bilaplacian, assemble_dxx
@@ -81,13 +81,21 @@ class FactorizedSystem:
         return x
 
 
-def _applied_force(U: np.ndarray, V: np.ndarray, model: ModelConfig,
-                   ops: OperatorSet) -> np.ndarray:
-    """phi(U) * u_xx + a * g(V), the non-bilaplacian right-hand terms."""
+def _damping_force(V: np.ndarray, model: ModelConfig) -> np.ndarray | None:
+    """a * g(V) on the collar, or None when there is no collar."""
+    if model.damping.width == 0:
+        return None
+    return model.damping.a * eval_feedback(model.feedback, V)
+
+
+def _applied_force(U: np.ndarray, damping: np.ndarray | None,
+                   model: ModelConfig, ops: OperatorSet) -> np.ndarray:
+    """phi(U) * u_xx + a * g(V), the non-bilaplacian right-hand terms, with
+    the damping term a * g(V) passed in (None without a collar)."""
     phi = berger_coefficient(U, ops.weights, model.P, model.S)
     force = phi * (ops.dxx @ U)
-    if model.damping.width > 0:
-        force = force + model.damping.a * eval_feedback(model.feedback, V)
+    if damping is not None:
+        force = force + damping
     return force
 
 
@@ -98,7 +106,8 @@ def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
     if U0.shape != (n,) or V0.shape != (n,):
         raise ShapeError(f"initial data must have length {n}, "
                          f"got {U0.shape} and {V0.shape}")
-    accel = -(ops.bilaplacian @ U0) - _applied_force(U0, V0, model, ops)
+    accel = -(ops.bilaplacian @ U0) \
+        - _applied_force(U0, _damping_force(V0, model), model, ops)
     u1 = U0 + dt * V0 + 0.5 * dt * dt * accel
     if not np.isfinite(u1).all():
         raise NonFiniteError("non-finite state produced by the bootstrap", 1)
@@ -106,13 +115,16 @@ def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
 
 
 def step(state: SimState, sys: FactorizedSystem, ops: OperatorSet,
-         model: ModelConfig) -> SimState:
-    """Advance one time step."""
+         model: ModelConfig, damping: np.ndarray | None = None) -> SimState:
+    """Advance one time step; ``damping`` is a * g(V) for the state's
+    velocity if the caller has it already, else it is evaluated here."""
     dt = state.dt
     u, up = state.u_curr, state.u_prev
     new_index = state.step_index + 1
+    if damping is None:
+        damping = _damping_force(state.velocity(), model)
     rhs = 2.0 * u - up - (dt * dt / 2.0) * (ops.bilaplacian @ u) \
-        - dt * dt * _applied_force(u, (u - up) / dt, model, ops)
+        - dt * dt * _applied_force(u, damping, model, ops)
     if not np.isfinite(rhs).all():
         raise NonFiniteError(f"non-finite state at step {new_index}", new_index)
     u_next = sys.solve(rhs)
@@ -137,37 +149,48 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     The first record is taken right after the bootstrap (step 1); further
     records land every ``record_stride`` steps and at the final step.  The
     damping ledger accumulates dt * <a g(V), V> by the trapezoid rule over
-    steps, so records carry the cumulative dissipation next to the energy.
+    steps, so records carry the cumulative dissipation next to the energy;
+    the same a g(V) feeds the next step's force.  Each snapshot time is
+    taken at step round(t/dt); a time that rounds outside steps 1..N, or
+    onto the step of an earlier request, raises ParameterError.
     Identical inputs produce bitwise-identical records.
     """
     if record_stride < 1:
         raise ShapeError(f"record stride must be >= 1, got {record_stride}")
+    n_steps = int(round(T / dt))
+    wanted_steps: dict[int, float] = {}
+    for t_req in snapshot_times:
+        k = int(round(t_req / dt))
+        if not 1 <= k <= n_steps:
+            raise ParameterError(f"snapshot time {t_req:g} rounds to step {k}, "
+                                 f"outside steps 1..{n_steps} of T = {T:g}")
+        if k in wanted_steps:
+            raise ParameterError(f"snapshot times {wanted_steps[k]:g} and "
+                                 f"{t_req:g} both round to step {k}")
+        wanted_steps[k] = t_req
+
     sys = FactorizedSystem(ops.bilaplacian, dt)
     evaluator = PlateFormEvaluator(ops.grid, model.sigma, ops.weights)
     state = bootstrap(U0, V0, model, ops, dt)
 
-    def damping_power(s: SimState) -> float:
+    def damping_power(s: SimState) -> tuple[np.ndarray | None, float]:
+        """a g(V) and <a g(V), V> for the state's velocity V."""
         if model.damping.width == 0:
-            return 0.0
+            return None, 0.0
         v = s.velocity()
-        return ops.weights.integrate_cells(model.damping.a * eval_feedback(model.feedback, v) * v)
-
-    wanted_steps = {}
-    for t_req in snapshot_times:
-        k = max(1, int(round(t_req / dt)))
-        wanted_steps.setdefault(k, t_req)
+        damping = _damping_force(v, model)
+        return damping, ops.weights.integrate_cells(damping * v)
 
     ledger = 0.0
-    power_prev = damping_power(state)
+    damping, power_prev = damping_power(state)
     records = [evaluator.record(state, model, ledger)]
     result = RunResult(records=records, final_state=state)
     if 1 in wanted_steps:
         result.snapshots[wanted_steps[1]] = (state.t, state.u_curr.copy())
 
-    n_steps = int(round(T / dt))
     for n in range(2, n_steps + 1):
-        state = step(state, sys, ops, model)
-        power = damping_power(state)
+        state = step(state, sys, ops, model, damping)
+        damping, power = damping_power(state)
         ledger += dt * 0.5 * (power + power_prev)
         power_prev = power
         if (n - 1) % record_stride == 0 or n == n_steps:

@@ -241,7 +241,6 @@ class ModelConfig:
     P: float
     S: float
     feedback: FeedbackKind
-    damping_width: int
     damping: DampingField
 
 
@@ -249,10 +248,9 @@ def make_model(grid: Grid, *, sigma: float, P: float, S: float,
                feedback: FeedbackKind, damping_width: int = 5) -> ModelConfig:
     """Validate parameters and attach the damping collar."""
     if not 0.0 < sigma < 0.5:
-        raise ParameterError(f"Poisson ratio must lie in (0, 1/2), got {sigma}")
+        raise ParameterError(f"Poisson ratio sigma must lie in (0, 1/2), got {sigma}")
     if S < 0:
         raise ParameterError(f"stretching constant S must be nonnegative, got {S}")
     damping = damping_mask(grid, damping_width)
     return ModelConfig(grid=grid, sigma=sigma, P=float(P), S=float(S),
-                       feedback=feedback, damping_width=damping_width,
-                       damping=damping)
+                       feedback=feedback, damping=damping)

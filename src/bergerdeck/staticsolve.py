@@ -19,11 +19,12 @@ def solve_static(f: np.ndarray, grid: Grid, sigma: float,
                  rtol: float = 1e-10) -> np.ndarray:
     """Solve the discrete bilaplacian problem for a per-node load vector.
 
-    The system is factorized directly and refined until the residual
-    contract holds, else a SolveError carries the achieved residual as a
-    conditioning diagnostic.  The contract is measured on the normwise
-    backward-error scale: the operator carries 1/dx^4-sized entries, so on
-    fine grids no float64 vector satisfies ||A U - F|| <= rtol ||F||.
+    The system is factorized directly and the solve is checked against
+    the residual contract; a miss raises SolveError carrying the achieved
+    residual as a conditioning diagnostic.  The contract is measured on
+    the normwise backward-error scale: the operator carries 1/dx^4-sized
+    entries, so on fine grids no float64 vector satisfies
+    ||A U - F|| <= rtol ||F||.
     """
     if f.shape != (grid.n_dof,):
         raise ShapeError(f"expected load of length {grid.n_dof}, got {f.shape}")

@@ -213,6 +213,35 @@ def test_main_run_with_svg_overrides_and_snapshot(tmp_path):
     assert snap.read_text().startswith("k,j,x,y,value")
 
 
+def test_main_snapshot_stem_keeps_directory(tmp_path):
+    out_dir = tmp_path / "out.d"
+    out_dir.mkdir()
+    cfg_path = _small_config_text(tmp_path, snapshots="0.5")
+    assert main(["run", "--config", cfg_path, "--out", str(out_dir / "energy")]) == 0
+    assert (out_dir / "energy_snapshot_t0.5.csv").exists()
+    assert not (tmp_path / "out_snapshot_t0.5.csv").exists()
+
+
+@pytest.mark.parametrize("snapshots, named", [
+    ("1.5", "1.5"),          # past T = 1
+    ("0.01", "0.01"),        # rounds to step 0 at dt = 0.05
+    ("0.5,0.51", "0.51"),    # both round to step 10
+])
+def test_main_unreachable_snapshot_exits_1(tmp_path, capsys, snapshots, named):
+    cfg_path = _small_config_text(tmp_path, snapshots=snapshots)
+    assert main(["run", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "snapshot time" in err and named in err
+    assert not (tmp_path / "energy.csv").exists()
+
+
+def test_main_run_without_steps_exits_1(tmp_path, capsys):
+    out = tmp_path / "energy.csv"
+    assert main(["run", "--preset", "static", "--out", str(out)]) == 1
+    assert "0 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_validation_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physics]\nsigma = 0.9\n")
@@ -273,7 +302,6 @@ def test_main_sweep_small_presets(tmp_path, monkeypatch, capsys):
                       feedback=SqrtOdd(), dt=0.05, T=3.0, record_stride=1,
                       csv="unused.csv")
     monkeypatch.setattr(cli_mod, "preset", lambda name: small)
-    monkeypatch.setenv("BERGERDECK_THREADS", "2")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--out-dir", str(out_dir)]) == 0
     report = (out_dir / "decay_fits.csv").read_text().strip().split("\n")

@@ -1,0 +1,70 @@
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from bergerdeck import build_grid, build_operators, sin_load
+from bergerdeck._direct import refine_solve
+from bergerdeck.errors import SolveError
+
+RTOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def system():
+    grid = build_grid(21, 11, 0.5)
+    ops = build_operators(grid, 0.2)
+    matrix = sp.csc_matrix(sp.identity(grid.n_dof) + 0.5e-4 * ops.bilaplacian)
+    rhs = np.random.default_rng(7).normal(size=grid.n_dof)
+    return matrix, spla.splu(matrix), rhs
+
+
+def test_residual_meets_contract(system):
+    matrix, lu, rhs = system
+    x, residual = refine_solve(lu, matrix, rhs, RTOL)
+    assert residual <= RTOL
+    assert residual == np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+
+
+class _CountingLU:
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("delta, rescued", [(1e-6, True), (1e-3, False)])
+def test_one_correction_sweep(system, delta, rescued):
+    matrix, _, rhs = system
+    # factors of (1 + delta) M: residual delta/(1 + delta), then its square
+    lu = _CountingLU(spla.splu(sp.csc_matrix((1.0 + delta) * matrix)))
+    if rescued:
+        _, residual = refine_solve(lu, matrix, rhs, RTOL)
+        assert residual <= RTOL
+    else:
+        with pytest.raises(SolveError) as err:
+            refine_solve(lu, matrix, rhs, RTOL)
+        assert err.value.residual == pytest.approx((delta / (1.0 + delta)) ** 2, rel=1e-6)
+    assert lu.solves == 2
+
+
+def test_missed_contract_raises_with_residual(system):
+    matrix, lu, rhs = system
+    # the factors of M checked against 2M: the first solve leaves residual 1
+    # and the correction sweep drives x to 0, residual 1 again
+    with pytest.raises(SolveError, match="exceeds") as err:
+        refine_solve(lu, 2.0 * matrix, rhs, RTOL)
+    assert err.value.residual == pytest.approx(1.0, rel=1e-9)
+
+
+def test_backward_scale_residual_at_most_plain():
+    grid = build_grid(99, 49, 0.5)
+    A = build_operators(grid, 0.2).bilaplacian
+    lu = spla.splu(sp.csc_matrix(A))
+    f = sin_load(grid, 50.0, 2)
+    _, plain = refine_solve(lu, A, f, 1.0)
+    _, scaled = refine_solve(lu, A, f, 1.0, backward_scale=True)
+    assert scaled <= plain
+    assert scaled <= RTOL

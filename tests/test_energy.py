@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bergerdeck import (EnergyRecord, Linear, SimState,
-                        build_weights, dissipation_residual, hstar_form,
-                        lambda1_estimate, make_model, total_energy)
+from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
+                        build_weights, dissipation_residual, lambda1_estimate,
+                        make_model)
 from bergerdeck.energy import gradient_gram, hstar_gram
 from bergerdeck.errors import SequencingError, ShapeError
 
@@ -18,25 +18,32 @@ def _state(u_curr, u_prev, dt=0.1, step=1):
                     step_index=step, dt=dt)
 
 
+@pytest.fixture(scope="module")
+def tiny_form(tiny_grid, tiny_weights):
+    return PlateFormEvaluator(tiny_grid, SIGMA, tiny_weights)
+
+
+def _record(state, model, weights):
+    return PlateFormEvaluator(model.grid, model.sigma, weights).record(state, model)
+
+
 # --- the plate quadratic form ---------------------------------------------
 
-def test_form_zero_field(tiny_grid, tiny_weights):
-    assert hstar_form(np.zeros(tiny_grid.n_dof), tiny_grid, SIGMA,
-                      tiny_weights) == 0.0
+def test_form_zero_field(tiny_grid, tiny_form):
+    assert tiny_form.form_value(np.zeros(tiny_grid.n_dof)) == 0.0
 
 
 def test_form_of_sine_sheet(preset_grid):
     w = build_weights(preset_grid)
     X, _ = preset_grid.meshgrid()
     U = np.sin(X).ravel()
-    value = hstar_form(U, preset_grid, SIGMA, w)
+    value = PlateFormEvaluator(preset_grid, SIGMA, w).form_value(U)
     assert value == pytest.approx(math.pi * preset_grid.l, rel=2e-2)
 
 
-def test_form_pointwise_lower_bound(tiny_grid, tiny_weights):
+def test_form_pointwise_lower_bound(tiny_grid, tiny_form):
     # F(u,u) >= (1-sigma)(u_xx^2 + u_yy^2 + 2 u_xy^2) since 2 s ab >= -s(a^2+b^2)
-    from bergerdeck.energy import PlateFormEvaluator
-    ev = PlateFormEvaluator(tiny_grid, SIGMA, tiny_weights)
+    ev = tiny_form
     rng = np.random.default_rng(2024)
     for _ in range(20):
         U = rng.normal(size=tiny_grid.n_dof)
@@ -48,28 +55,28 @@ def test_form_pointwise_lower_bound(tiny_grid, tiny_weights):
         assert np.all(F >= bound - 1e-12 * np.abs(F).max())
 
 
-def test_form_quadratic_homogeneity(tiny_grid, tiny_weights):
+def test_form_quadratic_homogeneity(tiny_grid, tiny_form):
     rng = np.random.default_rng(5)
     U = rng.normal(size=tiny_grid.n_dof)
-    base = hstar_form(U, tiny_grid, SIGMA, tiny_weights)
+    base = tiny_form.form_value(U)
     for alpha in (2.0, 0.5, 7.3):
-        scaled = hstar_form(alpha * U, tiny_grid, SIGMA, tiny_weights)
+        scaled = tiny_form.form_value(alpha * U)
         assert scaled == pytest.approx(alpha**2 * base, rel=1e-12)
 
 
-def test_form_matches_gram_matrix(tiny_grid, tiny_weights):
+def test_form_matches_gram_matrix(tiny_grid, tiny_weights, tiny_form):
     A = hstar_gram(tiny_grid, SIGMA, tiny_weights)
     rng = np.random.default_rng(11)
     for _ in range(5):
         U = rng.normal(size=tiny_grid.n_dof)
-        direct = hstar_form(U, tiny_grid, SIGMA, tiny_weights)
+        direct = tiny_form.form_value(U)
         viagram = float(U @ (A @ U))
         assert viagram == pytest.approx(direct, rel=1e-12)
 
 
-def test_form_shape_error(tiny_grid, tiny_weights):
+def test_form_shape_error(tiny_form):
     with pytest.raises(ShapeError):
-        hstar_form(np.zeros(3), tiny_grid, SIGMA, tiny_weights)
+        tiny_form.form_value(np.zeros(3))
 
 
 # --- energy records -----------------------------------------------------------
@@ -78,7 +85,7 @@ def test_zero_state_record(tiny_grid, tiny_weights):
     model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
                        feedback=Linear(), damping_width=1)
     z = np.zeros(tiny_grid.n_dof)
-    rec = total_energy(_state(z, z), model, tiny_weights)
+    rec = _record(_state(z, z), model, tiny_weights)
     assert rec.kinetic == rec.hstar == rec.px == rec.sx == rec.total == 0.0
 
 
@@ -88,7 +95,7 @@ def test_constant_velocity_kinetic_energy(tiny_grid, tiny_weights):
     dt = 0.25
     u_prev = np.zeros(tiny_grid.n_dof)
     u_curr = dt * np.ones(tiny_grid.n_dof)  # V = 1 everywhere
-    rec = total_energy(_state(u_curr, u_prev, dt=dt), model, tiny_weights)
+    rec = _record(_state(u_curr, u_prev, dt=dt), model, tiny_weights)
     assert rec.kinetic == pytest.approx(math.pi * tiny_grid.l, abs=1e-10)
 
 
@@ -99,7 +106,7 @@ def test_record_decomposition(preset_grid):
     rng = np.random.default_rng(3)
     u_prev = rng.normal(size=preset_grid.n_dof)
     u_curr = u_prev + 0.01 * rng.normal(size=preset_grid.n_dof)
-    rec = total_energy(_state(u_curr, u_prev, dt=0.01), model, w)
+    rec = _record(_state(u_curr, u_prev, dt=0.01), model, w)
     recomposed = rec.kinetic + rec.hstar + rec.px + rec.sx
     assert rec.total == pytest.approx(recomposed, rel=1e-12)
 
@@ -109,7 +116,7 @@ def test_step_zero_is_rejected(tiny_grid, tiny_weights):
                        feedback=Linear(), damping_width=0)
     z = np.zeros(tiny_grid.n_dof)
     with pytest.raises(SequencingError, match="bootstrap"):
-        total_energy(_state(z, z, step=0), model, tiny_weights)
+        _record(_state(z, z, step=0), model, tiny_weights)
 
 
 # --- dissipation residual -----------------------------------------------------

@@ -7,6 +7,7 @@ from bergerdeck import (FactorizedSystem, Linear, OperatorSet, SqrtOdd,
                         dump_snapshot, make_model, run, sin_load, solve_static,
                         step)
 from bergerdeck.errors import NonFiniteError, ShapeError
+from bergerdeck.model import eval_feedback
 from bergerdeck.integrator import SimState
 from oracles import dense_bootstrap, dense_step
 
@@ -104,6 +105,20 @@ def test_step_matches_dense_oracle(tiny_ops, tiny_grid):
     assert np.max(np.abs(out.u_curr - ref)) <= 1e-10
 
 
+def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_grid):
+    from bergerdeck.integrator import _damping_force
+    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+                       feedback=SqrtOdd(), damping_width=1)
+    sys = FactorizedSystem(tiny_ops.bilaplacian, dt=0.01)
+    rng = np.random.default_rng(9)
+    u, up = rng.normal(size=tiny_grid.n_dof), rng.normal(size=tiny_grid.n_dof)
+    state = SimState(u_curr=u, u_prev=up, t=0.01, step_index=1, dt=0.01)
+    given = step(state, sys, tiny_ops, model,
+                 _damping_force(state.velocity(), model))
+    np.testing.assert_array_equal(given.u_curr,
+                                  step(state, sys, tiny_ops, model).u_curr)
+
+
 def test_step_detects_non_finite(tiny_ops, tiny_model, tiny_grid):
     bad = np.full(tiny_grid.n_dof, np.nan)
     sys = FactorizedSystem(tiny_ops.bilaplacian, dt=0.01)
@@ -119,6 +134,23 @@ def test_run_zero_horizon(tiny_ops, tiny_model, tiny_grid):
     z = np.zeros(tiny_grid.n_dof)
     result = run(tiny_model, tiny_ops, z, z, dt=0.01, T=0.0)
     assert len(result.records) == 1  # nothing beyond the initial record
+
+
+def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
+    import bergerdeck.integrator as integrator
+    calls = []
+
+    def counted(kind, s):
+        calls.append(1)
+        return eval_feedback(kind, s)
+
+    monkeypatch.setattr(integrator, "eval_feedback", counted)
+    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+                       feedback=SqrtOdd(), damping_width=1)
+    u0 = np.zeros(tiny_grid.n_dof)
+    run(model, tiny_ops, u0, np.ones_like(u0), dt=0.01, T=0.5)
+    # the bootstrap's initial velocity, then one per field level 1..50
+    assert len(calls) == 1 + 50
 
 
 def test_run_is_deterministic(tiny_ops, tiny_grid):
