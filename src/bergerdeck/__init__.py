@@ -18,7 +18,5 @@ from .integrator import (FactorizedSystem, OperatorSet, RunResult, SimState,
 from .decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw, DecayLaw,
                        ExponentialLaw, FitResult, LogarithmicLaw, construct_h,
                        fit_decay, h_tilde, ode_decay, predicted_law)
-from .cli import (RunConfig, emit_svg_plot, parse_config, preset,
-                  render_config, run_config, write_energy_csv)
 
 __version__ = "0.1.0"

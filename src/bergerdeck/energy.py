@@ -24,7 +24,8 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, SequencingError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import ModelConfig, stretch_integral
-from .operators import SparseOperator, assemble_dxx, assemble_dy2, _finalize
+from .operators import (SparseOperator, _band, _finalize, _kron_sum,
+                        _level_matrices, assemble_dxx, assemble_dy2)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import SimState
@@ -55,17 +56,14 @@ def x_derivative_map(grid: Grid) -> SparseOperator:
 
 
 def y_derivative_map(grid: Grid) -> SparseOperator:
-    """First y-difference: centered inside, one-sided on the free edges."""
+    """First y-difference kron(D, I): centered inside, one-sided at the edges."""
     ny = grid.K + 2
     inv_dy = 1.0 / grid.dy
+    rows = _band(range(1, ny - 1), ((-0.5 * inv_dy,), (0.0,), (0.5 * inv_dy,)))
+    rows[0, 0] = rows[ny - 1, ny - 2] = (-inv_dy,)
+    rows[0, 1] = rows[ny - 1, ny - 1] = (inv_dy,)
     eye = sp.identity(grid.J, format="csr")
-    blocks: list[list] = [[None] * ny for _ in range(ny)]
-    blocks[0][0], blocks[0][1] = -inv_dy * eye, inv_dy * eye
-    blocks[ny - 1][ny - 2], blocks[ny - 1][ny - 1] = -inv_dy * eye, inv_dy * eye
-    for k in range(1, ny - 1):
-        blocks[k][k - 1] = -0.5 * inv_dy * eye
-        blocks[k][k + 1] = 0.5 * inv_dy * eye
-    return _finalize(sp.bmat(blocks))
+    return _finalize(_kron_sum(_level_matrices(ny, rows), (eye,)))
 
 
 def cross_derivative_map(grid: Grid) -> SparseOperator:

@@ -3,7 +3,8 @@
 Short edges (x = 0, pi) are hinged: u = u_xx = 0.  Long edges (y = -l, l)
 are free: u_yy + sigma*u_xx = 0 and u_yyy + (2 - sigma)*u_xxy = 0.  Ghost
 nodes outside the rectangle are eliminated with those identities, which
-reshapes the stencils in the first two and last two block rows.
+reshapes the stencils in the first two and last two block rows.  Every y
+block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p).
 """
 
 from __future__ import annotations
@@ -76,32 +77,48 @@ def assemble_dxx(grid: Grid) -> SparseOperator:
     return _finalize(sp.kron(eye, lx, format="csr"))
 
 
-def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
-    """y second derivative on the flattened field.
+def _level_matrices(ny: int, rows: dict) -> list[sp.coo_matrix]:
+    """Split ``{(k, l): (c_0, c_1, ...)}`` into ny x ny level matrices C_p
+    with C_p[k, l] = c_p; zero coefficients are not stored."""
+    keys = np.array(list(rows))
+    coeffs = np.array(list(rows.values()))
+    return [sp.coo_matrix((c[c != 0.0], tuple(keys[c != 0.0].T)), shape=(ny, ny))
+            for c in coeffs.T]
 
-    Interior block rows carry [I, -2I, I]/dy^2.  The free-edge rows return
+
+def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
+    """sum_p kron(C_p, blocks[p]) on the flat field, added in order of p."""
+    terms = [sp.kron(c, b, format="csr") for c, b in zip(levels, blocks)]
+    return sum(terms[1:], terms[0])
+
+
+def _band(levels: range, stencil: tuple) -> dict:
+    """``stencil`` centered on each row k in ``levels``: {(k, l): coefficient}."""
+    half = len(stencil) // 2
+    return {(k, k + j - half): c for k in levels for j, c in enumerate(stencil)}
+
+
+def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
+    """y second derivative on the flattened field: kron(T, I) + kron(E, Lx).
+
+    Interior levels carry [1, -2, 1]/dy^2.  The free-edge levels return
     the boundary identity u_yy = -sigma*u_xx directly (no 1/dy^2 factor),
     which is what the ghost elimination of the fourth difference consumes.
     """
     _check_sigma(sigma)
-    J, ny = grid.J, grid.K + 2
-    lx = assemble_d2_1d(J, grid.dx)
-    eye = sp.identity(J, format="csr")
+    ny = grid.K + 2
     inv_dy2 = 1.0 / (grid.dy * grid.dy)
-
-    blocks: list[list] = [[None] * ny for _ in range(ny)]
-    blocks[0][0] = -sigma * lx
-    blocks[ny - 1][ny - 1] = -sigma * lx
-    for k in range(1, ny - 1):
-        blocks[k][k - 1] = inv_dy2 * eye
-        blocks[k][k] = -2.0 * inv_dy2 * eye
-        blocks[k][k + 1] = inv_dy2 * eye
-    return _finalize(sp.bmat(blocks))
+    rows = _band(range(1, ny - 1),
+                 ((inv_dy2, 0.0), (-2.0 * inv_dy2, 0.0), (inv_dy2, 0.0)))
+    rows[0, 0] = rows[ny - 1, ny - 1] = (0.0, -sigma)
+    blocks = (sp.identity(grid.J, format="csr"), assemble_d2_1d(grid.J, grid.dx))
+    return _finalize(_kron_sum(_level_matrices(ny, rows), blocks))
 
 
-def _edge_blocks(grid: Grid, sigma: float) -> tuple[sp.spmatrix, ...]:
-    """Ghost-eliminated blocks of the first two rows of the y fourth
-    difference, before the 1/dy^4 scaling.
+def _edge_rows(sigma: float, dy2: float) -> dict:
+    """Ghost-eliminated rows k = 0 and 1 of the y fourth difference, before
+    the 1/dy^4 scaling: {(row, level): (I, Lx, Lx^2) coefficients}.  The
+    top edge is the mirror image, (K+1-row, K+1-level).
 
     With Lx the x second derivative, the two closure identities at the
     bottom edge are
@@ -111,43 +128,37 @@ def _edge_blocks(grid: Grid, sigma: float) -> tuple[sp.spmatrix, ...]:
 
     (centered u_yy + sigma u_xx = 0, centered u_yyy + (2 - sigma) u_xxy = 0
     with u_xxy taken as the centered level difference of Lx).  Substituting
-    them into [1, -4, 6, -4, 1] at k = 0 and k = 1 gives the blocks below.
+    them into [1, -4, 6, -4, 1] at k = 0 and k = 1 gives the rows below.
     """
-    J = grid.J
-    dy2 = grid.dy * grid.dy
-    lx = assemble_d2_1d(J, grid.dx)
-    eye = sp.identity(J, format="csr")
-    row0_0 = 2.0 * eye + (4.0 * sigma - 4.0) * dy2 * lx \
-        + sigma * (2.0 - sigma) * dy2 * dy2 * (lx @ lx)
-    row0_1 = -4.0 * eye + 2.0 * (2.0 - sigma) * dy2 * lx
-    row0_2 = 2.0 * eye
-    row1_0 = -2.0 * eye - sigma * dy2 * lx
-    return row0_0, row0_1, row0_2, row1_0
+    return {
+        (0, 0): (2.0, (4.0 * sigma - 4.0) * dy2, sigma * (2.0 - sigma) * dy2 * dy2),
+        (0, 1): (-4.0, 2.0 * (2.0 - sigma) * dy2, 0.0),
+        (0, 2): (2.0, 0.0, 0.0),
+        (1, 0): (-2.0, -sigma * dy2, 0.0),
+        (1, 1): (5.0, 0.0, 0.0),
+        (1, 2): (-4.0, 0.0, 0.0),
+        (1, 3): (1.0, 0.0, 0.0),
+    }
+
+
+def _dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+    """Level matrices C_0, C_1, C_2 of the y fourth difference, unscaled:
+    D_y^4 = sum_p kron(C_p, Lx^p) / dy^4."""
+    _check_sigma(sigma)
+    ny = grid.K + 2
+    rows = _band(range(2, ny - 2),
+                 tuple((c, 0.0, 0.0) for c in (1.0, -4.0, 6.0, -4.0, 1.0)))
+    for (k, level), c in _edge_rows(sigma, grid.dy * grid.dy).items():
+        rows[k, level] = rows[ny - 1 - k, ny - 1 - level] = c
+    return _level_matrices(ny, rows)
 
 
 def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
     """y fourth difference with free-edge ghost levels eliminated."""
-    _check_sigma(sigma)
-    J, ny = grid.J, grid.K + 2
-    eye = sp.identity(J, format="csr")
-    row0_0, row0_1, row0_2, row1_0 = _edge_blocks(grid, sigma)
-
-    blocks: list[list] = [[None] * ny for _ in range(ny)]
-    blocks[0][0], blocks[0][1], blocks[0][2] = row0_0, row0_1, row0_2
-    blocks[1][0], blocks[1][1] = row1_0, 5.0 * eye
-    blocks[1][2], blocks[1][3] = -4.0 * eye, eye
-    for k in range(2, ny - 2):
-        blocks[k][k - 2] = eye
-        blocks[k][k - 1] = -4.0 * eye
-        blocks[k][k] = 6.0 * eye
-        blocks[k][k + 1] = -4.0 * eye
-        blocks[k][k + 2] = eye
-    blocks[ny - 2][ny - 1], blocks[ny - 2][ny - 2] = row1_0, 5.0 * eye
-    blocks[ny - 2][ny - 3], blocks[ny - 2][ny - 4] = -4.0 * eye, eye
-    blocks[ny - 1][ny - 1], blocks[ny - 1][ny - 2] = row0_0, row0_1
-    blocks[ny - 1][ny - 3] = row0_2
+    lx = assemble_d2_1d(grid.J, grid.dx)
+    blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
     dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
-    return _finalize(sp.bmat(blocks) / dy4)
+    return _finalize(_kron_sum(_dy4_levels(grid, sigma), blocks) / dy4)
 
 
 def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
@@ -205,15 +216,7 @@ def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
     _check_sigma(sigma)
     dy2 = grid.dy * grid.dy
     sigma1, sigma2 = free_edge_shorthand_coefficients(sigma, grid.dy)
-    derived = {
-        (0, 0): (2.0, (4.0 * sigma - 4.0) * dy2, sigma * (2.0 - sigma) * dy2 * dy2),
-        (0, 1): (-4.0, 2.0 * sigma2, 0.0),
-        (0, 2): (2.0, 0.0, 0.0),
-        (1, 0): (-2.0, -sigma * dy2, 0.0),
-        (1, 1): (5.0, 0.0, 0.0),
-        (1, 2): (-4.0, 0.0, 0.0),
-        (1, 3): (1.0, 0.0, 0.0),
-    }
+    derived = _edge_rows(sigma, dy2)
     shorthand = {
         (0, 0): (2.0, sigma1, 0.0),
         (0, 1): (-4.0, 4.0 * sigma2, 0.0),

@@ -15,8 +15,9 @@ import pytest
 from bergerdeck import (analytic_oracle, assemble_bilaplacian, assemble_d2_1d,
                         assemble_d4_hinged_1d, build_grid, build_operators,
                         build_weights, dissipation_residual, fit_decay,
-                        lambda1_estimate, make_model, ode_decay, preset,
-                        run, sin_load, solve_static)
+                        lambda1_estimate, make_model, ode_decay, run,
+                        sin_load, solve_static)
+from bergerdeck.cli import preset
 from bergerdeck.decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw,
                                  ExponentialLaw, LogarithmicLaw)
 from bergerdeck.integrator import FactorizedSystem, SimState, step

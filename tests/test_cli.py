@@ -1,14 +1,19 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bergerdeck import (EnergyRecord, RunConfig, SqrtOdd, emit_svg_plot,
-                        parse_config, preset, render_config, run_config,
-                        write_energy_csv)
-from bergerdeck.cli import main, read_energy_csv
+import bergerdeck
+from bergerdeck import EnergyRecord, SqrtOdd
+from bergerdeck.cli import (RunConfig, emit_svg_plot, main, parse_config,
+                            preset, read_energy_csv, render_config,
+                            run_config, write_energy_csv)
 from bergerdeck.errors import ConfigError, PlotError
 from bergerdeck.model import Piecewise
 
@@ -280,6 +285,19 @@ def test_main_lambda1_small_grid(tmp_path, capsys):
     assert main(["lambda1", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert "lambda1" in out and "holds" in out
+
+
+def test_module_entry_runs_with_warnings_as_errors(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nJ = 21\nK = 11\nl = 0.5\n[damping]\nwidth = 1\n")
+    src = str(Path(bergerdeck.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bergerdeck.cli", "lambda1",
+         "--config", str(cfg)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "lambda1" in proc.stdout
 
 
 def test_main_runtime_error_exits_2(tmp_path, monkeypatch, capsys):

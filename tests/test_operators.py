@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from bergerdeck import build_grid
+from bergerdeck.energy import cross_derivative_map, y_derivative_map
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (assemble_bilaplacian, assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
@@ -162,6 +164,24 @@ def test_stencil_report_flags_known_mismatches(tiny_grid):
     assert by_key[(0, 2, "I")]["match"]
 
 
+def test_stencil_report_rebuilds_dy4_edge_rows(tiny_grid):
+    J, ny = tiny_grid.J, tiny_grid.K + 2
+    lx = assemble_d2_1d(J, tiny_grid.dx).toarray()
+    powers = {"I": np.eye(J), "Lx": lx, "Lx^2": lx @ lx}
+    dy4 = tiny_grid.dy ** 4
+    expected = np.zeros((ny, J, tiny_grid.n_dof))
+    for e in free_edge_stencil_report(tiny_grid, 0.2):
+        block = e["derived"] * powers[e["term"]] / dy4
+        for row, col in ((e["row"], e["col"]),
+                         (ny - 1 - e["row"], ny - 1 - e["col"])):
+            expected[row, :, col * J:(col + 1) * J] += block
+    mat = assemble_dy4(tiny_grid, 0.2).toarray().reshape(ny, J, -1)
+    scale = np.max(np.abs(mat))
+    for level in (0, 1, ny - 2, ny - 1):
+        np.testing.assert_allclose(mat[level], expected[level],
+                                   rtol=0, atol=1e-12 * scale)
+
+
 # --- bilaplacian ---------------------------------------------------------------
 
 def test_bilaplacian_size(preset_grid):
@@ -257,3 +277,31 @@ def test_dump_triplets_format():
     for line in dump_triplets(mat2).strip().split("\n"):
         r, c, v = line.split()
         assert float(v) == mat2[int(r), int(c)]
+
+
+# --- pinned bits ------------------------------------------------------------------
+
+# sha256 over indptr, indices and data on build_grid(21, 11, 0.7); the
+# byte-identical energy CSVs rest on these exact operator bits
+PINNED_BITS = {
+    "dy2": (lambda g: assemble_dy2(g, 0.3),
+            "62b64c5a1eaae571d8c149269afd0f50bca4c8a268213c2f6acbf74fc222981d"),
+    "dy4": (lambda g: assemble_dy4(g, 0.3),
+            "5ae9f8aef6bc367d076c9828827b8a55d84c16dea945ad6397a203296e614df9"),
+    "bilaplacian": (lambda g: assemble_bilaplacian(g, 0.3),
+                    "67f0071a0b3163d005f441e8c482a3de0c542edfde9cd6a6aa3223dc2ae33d7e"),
+    "y_map": (y_derivative_map,
+              "6c27ba9a5f70b43781842ef572d3b0ed8d6834fb3d57ba3594af472b2e4d964e"),
+    "cross_map": (cross_derivative_map,
+                  "9bb66d4cfc5ecbd2b5c8f6ad2f38dc4e91867af44e2eebd52e49772160c348e0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BITS))
+def test_operator_bits_are_pinned(name):
+    build, expected = PINNED_BITS[name]
+    mat = build(build_grid(21, 11, 0.7))
+    digest = hashlib.sha256()
+    for arr, dtype in ((mat.indptr, "<i4"), (mat.indices, "<i4"), (mat.data, "<f8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert digest.hexdigest() == expected
