@@ -1,16 +1,44 @@
-"""Direct sparse solves checked against a residual contract."""
+"""Direct solves checked against a residual contract."""
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .errors import SolveError
 
 
-def refine_solve(lu, matrix, rhs: np.ndarray, rtol: float,
+class ModalSolver:
+    """Solves M x = b for an M that the orthonormal DST-I along x splits
+    into one (K+2) x (K+2) block per sine mode (Lynch, Rice & Thomas 1964).
+
+    ``blocks`` has shape (J, K+2, K+2) and the field is (K+2, J) flattened.
+    With ``invert`` the blocks are inverted once and every solve is a
+    batched matrix-vector product; without it each solve factors them
+    again, which is cheaper for a single solve.
+    """
+
+    def __init__(self, blocks: np.ndarray, invert: bool = True):
+        self._shape = (blocks.shape[1], blocks.shape[0])
+        self._inverses = np.linalg.inv(blocks) if invert else None
+        self._blocks = None if invert else blocks
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        modes = scipy.fft.dst(rhs.reshape(self._shape), type=1, axis=1,
+                              norm="ortho").T[:, :, None]
+        if self._inverses is None:
+            modes = np.linalg.solve(self._blocks, modes)
+        else:
+            modes = np.matmul(self._inverses, modes)
+        return scipy.fft.idst(modes[:, :, 0].T, type=1, axis=1,
+                              norm="ortho").ravel()
+
+
+def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float,
                  backward_scale: bool = False) -> tuple[np.ndarray, float]:
-    """Solve with the factorization and check the relative residual
-    against ``rtol``, with one correction sweep if the first solve misses.
+    """Solve with ``solver`` (anything with a ``solve(rhs)`` method for
+    ``matrix``) and check the relative residual against ``rtol``, with one
+    correction sweep if the first solve misses.
 
     Near the float64 floor (the preset plate at dt >= 0.15) one correction
     sweep can bring a residual just above ``rtol`` under it; further sweeps
@@ -31,10 +59,10 @@ def refine_solve(lu, matrix, rhs: np.ndarray, rtol: float,
             scale = max(rhs_norm, float(np.linalg.norm(abs(matrix) @ np.abs(x))))
         return residual_vec, float(np.linalg.norm(residual_vec)) / scale
 
-    x = lu.solve(rhs)
+    x = solver.solve(rhs)
     residual_vec, residual = residual_of(x)
     if residual > rtol:
-        x = x + lu.solve(residual_vec)
+        x = x + solver.solve(residual_vec)
         _, residual = residual_of(x)
     if residual > rtol:
         raise SolveError(f"solve residual {residual:.3e} exceeds {rtol:.1e} "

@@ -4,7 +4,9 @@ Short edges (x = 0, pi) are hinged: u = u_xx = 0.  Long edges (y = -l, l)
 are free: u_yy + sigma*u_xx = 0 and u_yyy + (2 - sigma)*u_xxy = 0.  Ghost
 nodes outside the rectangle are eliminated with those identities, which
 reshapes the stencils in the first two and last two block rows.  Every y
-block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p).
+block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p),
+and the DST-I in x turns the bilaplacian into one small block per sine mode
+(``modal_blocks``).
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ def _band(levels: range, stencil: tuple) -> dict:
     return {(k, k + j - half): c for k in levels for j, c in enumerate(stencil)}
 
 
-def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
-    """y second derivative on the flattened field: kron(T, I) + kron(E, Lx).
+def _dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+    """Level matrices T, E of the y second derivative: D_y^2 = kron(T, I)
+    + kron(E, Lx).
 
     Interior levels carry [1, -2, 1]/dy^2.  The free-edge levels return
     the boundary identity u_yy = -sigma*u_xx directly (no 1/dy^2 factor),
@@ -111,8 +114,13 @@ def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
     rows = _band(range(1, ny - 1),
                  ((inv_dy2, 0.0), (-2.0 * inv_dy2, 0.0), (inv_dy2, 0.0)))
     rows[0, 0] = rows[ny - 1, ny - 1] = (0.0, -sigma)
+    return _level_matrices(ny, rows)
+
+
+def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
+    """y second derivative on the flattened field: kron(T, I) + kron(E, Lx)."""
     blocks = (sp.identity(grid.J, format="csr"), assemble_d2_1d(grid.J, grid.dx))
-    return _finalize(_kron_sum(_level_matrices(ny, rows), blocks))
+    return _finalize(_kron_sum(_dy2_levels(grid, sigma), blocks))
 
 
 def _edge_rows(sigma: float, dy2: float) -> dict:
@@ -175,6 +183,35 @@ def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
     dxx = assemble_dxx(grid)
     dy2 = assemble_dy2(grid, sigma)
     return _finalize(dx4 + dy4 + 2.0 * (dxx @ dy2))
+
+
+def modal_blocks(grid: Grid, sigma: float) -> np.ndarray:
+    """The bilaplacian in x sine modes: shape (J, K+2, K+2), block m - 1
+    acting on the y levels of mode m.
+
+    Every y block of the bilaplacian is a polynomial in Lx.  The orthonormal
+    DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2 sin^2(m pi /
+    (2(J+1))) on mode m, so with mu = mu_m block m is
+
+        mu^2 I + (C_0 + mu C_1 + mu^2 C_2) / dy^4 + 2 mu T + 2 mu^2 E
+
+    (D_x^4 = Lx^2, the D_y^4 level factors C_p, the D_y^2 factors T, E).
+    """
+    ny = grid.K + 2
+    c0, c1, c2 = (c.toarray() for c in _dy4_levels(grid, sigma))
+    t, e = (c.toarray() for c in _dy2_levels(grid, sigma))
+    m = np.arange(1, grid.J + 1)[:, None, None]
+    mu = -4.0 / (grid.dx * grid.dx) * np.sin(m * np.pi / (2.0 * (grid.J + 1))) ** 2
+    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
+    # summed in place, in the order written above: one (J, ny, ny) temporary
+    blocks = mu * c1
+    blocks += c0
+    blocks += mu * mu * c2
+    blocks /= dy4
+    blocks += mu * mu * np.eye(ny)
+    blocks += 2.0 * mu * t
+    blocks += 2.0 * mu * mu * e
+    return blocks
 
 
 def dump_triplets(op: SparseOperator) -> str:

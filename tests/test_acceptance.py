@@ -197,7 +197,7 @@ def test_criterion_7_step_matches_dense_reference(tiny_grid):
     model = make_model(grid, sigma=0.2, P=1e-3, S=1e-5,
                        feedback=feedback_from_name("linear"), damping_width=1)
     dt = 0.01
-    sys = FactorizedSystem(ops.bilaplacian, dt=dt)
+    sys = FactorizedSystem(grid, 0.2, ops.bilaplacian, dt=dt)
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(3):

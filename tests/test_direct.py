@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergerdeck import build_grid, build_operators, sin_load
-from bergerdeck._direct import refine_solve
+from bergerdeck import build_grid, build_operators, sin_load, solve_static
+from bergerdeck._direct import ModalSolver, refine_solve
 from bergerdeck.errors import SolveError
+from bergerdeck.integrator import FactorizedSystem
+from bergerdeck.operators import modal_blocks
 
 RTOL = 1e-10
 
@@ -68,3 +74,50 @@ def test_backward_scale_residual_at_most_plain():
     _, scaled = refine_solve(lu, A, f, 1.0, backward_scale=True)
     assert scaled <= plain
     assert scaled <= RTOL
+
+
+# --- modal solves against sparse LU ------------------------------------------
+# Two backward-stable solves of M x = b differ by up to about eps cond(M);
+# on the presets' half-width cond(B) passes 1e6 near K = 21, so the
+# comparison with LU stops at K = 15.
+
+plates = dict(J=st.integers(min_value=2, max_value=15).map(lambda h: 2 * h + 1),
+              K=st.integers(min_value=1, max_value=7).map(lambda h: 2 * h + 1),
+              sigma=st.floats(min_value=1e-3, max_value=0.499),
+              dt=st.floats(min_value=1e-3, max_value=1.0),
+              seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+
+
+def _plate(J, K, sigma, seed):
+    grid = build_grid(J, K, math.pi / 4)
+    rhs = np.random.default_rng(seed).normal(size=grid.n_dof)
+    return grid, build_operators(grid, sigma).bilaplacian, rhs
+
+
+def _gap(x, reference):
+    return np.linalg.norm(x - reference) / np.linalg.norm(reference)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**plates)
+def test_modal_solve_matches_splu(J, K, sigma, dt, seed):
+    grid, B, rhs = _plate(J, K, sigma, seed)
+    stepper = FactorizedSystem(grid, sigma, B, dt)
+    lu = spla.splu(sp.csc_matrix(stepper.matrix))
+    assert _gap(stepper.solve(rhs), lu.solve(rhs)) <= 1e-10
+    static_lu = spla.splu(sp.csc_matrix(B))
+    assert _gap(solve_static(rhs, grid, sigma, operator=B),
+                static_lu.solve(rhs)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(**plates)
+def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
+    grid, B, rhs = _plate(J, K, sigma, seed)
+    M = sp.identity(grid.n_dof, format="csr") + (dt * dt / 2.0) * B
+    blocks = (dt * dt / 2.0) * modal_blocks(grid, sigma) + np.eye(K + 2)
+    _, residual = refine_solve(ModalSolver(blocks), M, rhs, RTOL)
+    assert residual <= RTOL
+    solver = ModalSolver(modal_blocks(grid, sigma), invert=False)
+    _, residual = refine_solve(solver, B, rhs, RTOL, backward_scale=True)
+    assert residual <= RTOL

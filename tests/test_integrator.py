@@ -66,6 +66,13 @@ def test_bootstrap_shape_error(tiny_ops, tiny_model):
 
 # --- single step ---------------------------------------------------------------
 
+class _IdentitySystem:
+    """Stands in for the factorized M = I + dt^2/2 B when B = 0."""
+
+    def solve(self, rhs):
+        return rhs.copy()
+
+
 def test_step_free_recurrence(tiny_grid):
     # zero-operator surrogate: U^{n+1} = 2 U^n - U^{n-1}
     n = tiny_grid.n_dof
@@ -73,7 +80,7 @@ def test_step_free_recurrence(tiny_grid):
     ops = OperatorSet(grid=tiny_grid, weights=build_weights(tiny_grid),
                       bilaplacian=zero, dxx=zero)
     model = _undamped_model(tiny_grid)
-    sys = FactorizedSystem(zero, dt=0.5)
+    sys = _IdentitySystem()
     rng = np.random.default_rng(0)
     u, up = rng.normal(size=n), rng.normal(size=n)
     state = SimState(u_curr=u, u_prev=up, t=0.5, step_index=1, dt=0.5)
@@ -83,7 +90,7 @@ def test_step_free_recurrence(tiny_grid):
 
 def test_step_zero_fixed_point(tiny_ops, tiny_model, tiny_grid):
     z = np.zeros(tiny_grid.n_dof)
-    sys = FactorizedSystem(tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
     state = SimState(u_curr=z, u_prev=z, t=0.01, step_index=1, dt=0.01)
     out = step(state, sys, tiny_ops, tiny_model)
     np.testing.assert_array_equal(out.u_curr, z)
@@ -93,7 +100,7 @@ def test_step_matches_dense_oracle(tiny_ops, tiny_grid):
     model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
     dt = 0.01
-    sys = FactorizedSystem(tiny_ops.bilaplacian, dt=dt)
+    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=dt)
     rng = np.random.default_rng(99)
     u = rng.normal(size=tiny_grid.n_dof)
     up = u + dt * rng.normal(size=tiny_grid.n_dof)
@@ -109,7 +116,7 @@ def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_grid):
     from bergerdeck.integrator import _damping_force
     model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
-    sys = FactorizedSystem(tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
     rng = np.random.default_rng(9)
     u, up = rng.normal(size=tiny_grid.n_dof), rng.normal(size=tiny_grid.n_dof)
     state = SimState(u_curr=u, u_prev=up, t=0.01, step_index=1, dt=0.01)
@@ -121,7 +128,7 @@ def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_grid):
 
 def test_step_detects_non_finite(tiny_ops, tiny_model, tiny_grid):
     bad = np.full(tiny_grid.n_dof, np.nan)
-    sys = FactorizedSystem(tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
     state = SimState(u_curr=bad, u_prev=bad, t=0.01, step_index=1, dt=0.01)
     with pytest.raises(NonFiniteError) as err:
         step(state, sys, tiny_ops, tiny_model)
