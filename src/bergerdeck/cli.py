@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,63 +27,66 @@ from .model import (FeedbackKind, Linear, feedback_from_name, feedback_name,
 from .staticsolve import sin_load, solve_static
 
 
+def _key(section: str, default, parse=float, render=repr):
+    """A config key: its ``[section]``, its default, how its value reads
+    from config text, and how it renders back (None omits the line)."""
+    return field(default=default,
+                 metadata={"section": section, "parse": parse, "render": render})
+
+
+def _parse_times(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: grid, physics, damping, time windows, and outputs."""
+    """One experiment: grid, physics, damping, time windows, and outputs.
 
-    J: int = 149
-    K: int = 99
-    l: float = math.pi / 4
-    sigma: float = 0.2
-    P: float = 1e-3
-    S: float = 1e-5
-    width: int = 5
-    feedback: FeedbackKind = field(default_factory=Linear)
-    dt: float = 0.01
-    T: float = 30.0
-    record_stride: int = 10
-    csv: str = "energy.csv"
-    svg: str | None = None
-    snapshots: tuple[float, ...] = ()
+    The fields, in order, are the keys of the config document; their
+    metadata drives ``parse_config`` and ``render_config``.
+    """
+
+    J: int = _key("grid", 149, int, str)
+    K: int = _key("grid", 99, int, str)
+    l: float = _key("grid", math.pi / 4)
+    sigma: float = _key("physics", 0.2)
+    P: float = _key("physics", 1e-3)
+    S: float = _key("physics", 1e-5)
+    width: int = _key("damping", 5, int, str)
+    feedback: FeedbackKind = _key("damping", Linear(), feedback_from_name, feedback_name)
+    dt: float = _key("time", 0.01)
+    T: float = _key("time", 30.0)
+    record_stride: int = _key("time", 10, int, str)
+    csv: str = _key("output", "energy.csv", str, str)
+    svg: str | None = _key("output", None, str, lambda path: path)
+    snapshots: tuple[float, ...] = _key(
+        "output", (), _parse_times, lambda times: ",".join(map(repr, times)) or None)
 
 
-PRESET_NAMES = ("fig6", "fig7", "fig8", "static", "undamped")
+_KEYS = {f.name: f for f in fields(RunConfig)}
+
+# fig6/fig7/fig8 share the default plate and differ in the feedback
+# (sqrt / linear / piecewise); "static" is the bending problem alone;
+# "undamped" switches the collar and both nonlocal constants off.
+_PRESETS = {
+    "fig6": {"feedback": feedback_from_name("sqrt")},
+    "fig7": {},
+    "fig8": {"feedback": feedback_from_name("piecewise")},
+    "static": {"T": 0.0},
+    "undamped": {"width": 0, "P": 0.0, "S": 0.0},
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset(name: str) -> RunConfig:
-    """Named experiment presets.
-
-    fig6/fig7/fig8 share the default plate and differ in the feedback
-    (sqrt / linear / piecewise); "static" is the bending problem alone;
-    "undamped" switches the collar and both nonlocal constants off.
-    """
-    base = RunConfig()
-    if name == "fig6":
-        return replace(base, feedback=feedback_from_name("sqrt"))
-    if name == "fig7":
-        return base
-    if name == "fig8":
-        return replace(base, feedback=feedback_from_name("piecewise"))
-    if name == "static":
-        return replace(base, T=0.0)
-    if name == "undamped":
-        return replace(base, width=0, P=0.0, S=0.0)
-    raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    """Named experiment presets: the defaults with a few keys changed."""
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return RunConfig(**_PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
 # config documents
-
-_SCHEMA = {
-    "grid": ("J", "K", "l"),
-    "physics": ("sigma", "P", "S"),
-    "damping": ("width", "feedback"),
-    "time": ("dt", "T", "record_stride"),
-    "output": ("csv", "svg", "snapshots"),
-}
-_INT_KEYS = {"J", "K", "width", "record_stride"}
-_FLOAT_KEYS = {"l", "sigma", "P", "S", "dt", "T"}
-
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     """Check what the library does not (time window, stride, paths,
@@ -92,9 +95,11 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
 
-    for value in (cfg.l, cfg.sigma, cfg.P, cfg.S, cfg.dt, cfg.T, *cfg.snapshots):
-        if not math.isfinite(value):
-            fail(f"non-finite numeric value {value}")
+    for key in _KEYS:
+        value = getattr(cfg, key)
+        for number in value if isinstance(value, tuple) else (value,):
+            if isinstance(number, float) and not math.isfinite(number):
+                fail(f"non-finite numeric value {number}")
     if not cfg.dt > 0:
         fail(f"dt must be positive, got {cfg.dt}")
     if cfg.T < 0:
@@ -122,6 +127,8 @@ def parse_config(text: str) -> RunConfig:
     sections or keys are errors; missing keys keep the fig7 defaults.
     """
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}
+    sections = {f.metadata["section"] for f in _KEYS.values()}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -129,7 +136,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -139,55 +146,28 @@ def parse_config(text: str) -> RunConfig:
         key, _, rhs = line.partition("=")
         key = key.strip()
         rhs = rhs.strip()
-        if key not in _SCHEMA[section]:
+        if key not in _KEYS or _KEYS[key].metadata["section"] != section:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already given on line {seen[key]}")
+        seen[key] = lineno
         try:
-            if key in _INT_KEYS:
-                values[key] = int(rhs)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(rhs)
-            elif key == "feedback":
-                values[key] = feedback_from_name(rhs)
-            elif key == "snapshots":
-                values[key] = tuple(float(part) for part in rhs.split(",") if part.strip())
-            else:  # csv / svg paths
-                values[key] = rhs
+            values[key] = _KEYS[key].metadata["parse"](rhs)
         except (ValueError, BergerdeckError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    cfg = replace(RunConfig(), **values)
-    return _validate(cfg)
+    return _validate(RunConfig(**values))
 
 
 def render_config(cfg: RunConfig) -> str:
     """Config document that parses back to an equal RunConfig."""
-    lines = [
-        "[grid]",
-        f"J = {cfg.J}",
-        f"K = {cfg.K}",
-        f"l = {cfg.l!r}",
-        "",
-        "[physics]",
-        f"sigma = {cfg.sigma!r}",
-        f"P = {cfg.P!r}",
-        f"S = {cfg.S!r}",
-        "",
-        "[damping]",
-        f"width = {cfg.width}",
-        f"feedback = {feedback_name(cfg.feedback)}",
-        "",
-        "[time]",
-        f"dt = {cfg.dt!r}",
-        f"T = {cfg.T!r}",
-        f"record_stride = {cfg.record_stride}",
-        "",
-        "[output]",
-        f"csv = {cfg.csv}",
-    ]
-    if cfg.svg is not None:
-        lines.append(f"svg = {cfg.svg}")
-    if cfg.snapshots:
-        lines.append("snapshots = " + ",".join(repr(t) for t in cfg.snapshots))
-    return "\n".join(lines) + "\n"
+    blocks: dict[str, list[str]] = {}
+    for key, f in _KEYS.items():
+        section = f.metadata["section"]
+        lines = blocks.setdefault(section, [f"[{section}]"])
+        text = f.metadata["render"](getattr(cfg, key))
+        if text is not None:
+            lines.append(f"{key} = {text}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +305,10 @@ def run_config(cfg: RunConfig) -> RunResult:
                record_stride=cfg.record_stride, snapshot_times=cfg.snapshots)
 
 
+# command-line options that override a config key: (argparse dest, key)
+_OVERRIDES = (("dt", "dt"), ("T", "T"), ("out", "csv"), ("svg", "svg"))
+
+
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         try:
@@ -335,15 +319,8 @@ def _load_config(args) -> RunConfig:
         cfg = parse_config(text)
     else:
         cfg = preset(args.preset or "fig7")
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "T", None) is not None:
-        overrides["T"] = args.T
-    if getattr(args, "out", None) is not None:
-        overrides["csv"] = args.out
-    if getattr(args, "svg", None) is not None:
-        overrides["svg"] = args.svg
+    overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES
+                 if getattr(args, dest, None) is not None}
     if overrides:
         cfg = _validate(replace(cfg, **overrides), where="overrides")
     return cfg
@@ -474,10 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolveError, ConvergenceError, NonFiniteError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    except BergerdeckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (BergerdeckError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,22 +92,17 @@ class FactorizedSystem:
         return x
 
 
-def _damping_force(V: np.ndarray, model: ModelConfig) -> np.ndarray | None:
-    """a * g(V) on the collar, or None when there is no collar."""
-    if model.damping.width == 0:
-        return None
+def _damping_force(V: np.ndarray, model: ModelConfig) -> np.ndarray:
+    """a * g(V); a is zero off the collar, and everywhere without one."""
     return model.damping.a * eval_feedback(model.feedback, V)
 
 
-def _applied_force(U: np.ndarray, damping: np.ndarray | None,
+def _applied_force(U: np.ndarray, damping: np.ndarray,
                    model: ModelConfig, ops: OperatorSet) -> np.ndarray:
     """phi(U) * u_xx + a * g(V), the non-bilaplacian right-hand terms, with
-    the damping term a * g(V) passed in (None without a collar)."""
+    the damping term a * g(V) passed in."""
     phi = berger_coefficient(U, ops.weights, model.P, model.S)
-    force = phi * (ops.dxx @ U)
-    if damping is not None:
-        force = force + damping
-    return force
+    return phi * (ops.dxx @ U) + damping
 
 
 def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
@@ -184,10 +179,8 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     evaluator = PlateFormEvaluator(ops.grid, model.sigma, ops.weights)
     state = bootstrap(U0, V0, model, ops, dt)
 
-    def damping_power(s: SimState) -> tuple[np.ndarray | None, float]:
+    def damping_power(s: SimState) -> tuple[np.ndarray, float]:
         """a g(V) and <a g(V), V> for the state's velocity V."""
-        if model.damping.width == 0:
-            return None, 0.0
         v = s.velocity()
         damping = _damping_force(v, model)
         return damping, ops.weights.integrate_cells(damping * v)

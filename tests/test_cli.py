@@ -11,9 +11,9 @@ import pytest
 
 import bergerdeck
 from bergerdeck import EnergyRecord, SqrtOdd
-from bergerdeck.cli import (RunConfig, emit_svg_plot, main, parse_config,
-                            preset, read_energy_csv, render_config,
-                            run_config, write_energy_csv)
+from bergerdeck.cli import (PRESET_NAMES, RunConfig, emit_svg_plot, main,
+                            parse_config, preset, read_energy_csv,
+                            render_config, run_config, write_energy_csv)
 from bergerdeck.errors import ConfigError, PlotError
 from bergerdeck.model import Piecewise
 
@@ -64,6 +64,17 @@ def test_comments_and_blanks_ignored():
     assert cfg.dt == 0.5
 
 
+@pytest.mark.parametrize("text", [
+    "[grid]\nl = inf\n",
+    "[physics]\nP = nan\n",
+    "[time]\nT = inf\n",
+    "[output]\nsnapshots = 1.0,inf\n",
+])
+def test_non_finite_value_is_refused(text):
+    with pytest.raises(ConfigError, match="non-finite numeric value"):
+        parse_config(text)
+
+
 def test_feedback_names():
     cfg = parse_config("[damping]\nfeedback = power:0.75\n")
     assert cfg.feedback.exponent == 0.75
@@ -76,6 +87,58 @@ def test_round_trip_through_render():
                     feedback=SqrtOdd(), dt=0.02, T=4.0, record_stride=3,
                     csv="out.csv", svg="out.svg", snapshots=(0.5, 2.0))
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_key_given_twice_names_both_lines():
+    with pytest.raises(ConfigError, match=r"line 4: key 'dt' already given on line 2"):
+        parse_config("[time]\ndt = 0.01\n[time]\ndt = 0.5\n")
+    cfg = parse_config("[time]\ndt = 0.5\n[grid]\nJ = 21\n[time]\nT = 2.0\n")
+    assert (cfg.dt, cfg.J, cfg.T) == (0.5, 21, 2.0)
+
+
+# render_config bytes as pinned; a change of format must update these on purpose
+_RENDERED_ALL_FIELDS = """\
+[grid]
+J = 19
+K = 9
+l = 0.7
+
+[physics]
+sigma = 0.31
+P = 0.002
+S = 0.0
+
+[damping]
+width = 2
+feedback = sqrt
+
+[time]
+dt = 0.02
+T = 4.0
+record_stride = 3
+
+[output]
+csv = out.csv
+svg = out.svg
+snapshots = 0.5,2.0
+"""
+_RENDERED_PRESET_SHA256 = {
+    "fig6": "6f0ab759128b979132632d2a86876e544e86ee384b3cf072523a16810a83254d",
+    "fig7": "d137a8b51fe40731abd2c1d361c4a8cba00520157b1b3cca0beae46e4c02680e",
+    "fig8": "61ecddb1e01e8e0234503ca1c99b3e8dd54a0a45b5f4deb1830c107a5154ab87",
+    "static": "4327e58b388407f5d2c199882dd4399145bb02b646d83ceee0ee6c2c843811cf",
+    "undamped": "982b109b41d782b316059641e8f2d3ad992342ca2f17d0e8570a3dfb7257f856",
+}
+
+
+def test_rendered_bytes_are_pinned():
+    cfg = RunConfig(J=19, K=9, l=0.7, sigma=0.31, P=2e-3, S=0.0, width=2,
+                    feedback=SqrtOdd(), dt=0.02, T=4.0, record_stride=3,
+                    csv="out.csv", svg="out.svg", snapshots=(0.5, 2.0))
+    assert render_config(cfg) == _RENDERED_ALL_FIELDS
+    digests = {name: hashlib.sha256(render_config(preset(name)).encode()).hexdigest()
+               for name in PRESET_NAMES}
+    assert digests == _RENDERED_PRESET_SHA256
 
 
 def test_round_trip_of_presets():
