@@ -7,6 +7,8 @@ import scipy.fft
 
 from .errors import SolveError
 
+RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
+
 
 class ModalSolver:
     """Solves M x = b for an M that the orthonormal DST-I along x splits
@@ -34,7 +36,7 @@ class ModalSolver:
                               norm="ortho").ravel()
 
 
-def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float,
+def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
                  backward_scale: bool = False) -> tuple[np.ndarray, float]:
     """Solve with ``solver`` (anything with a ``solve(rhs)`` method for
     ``matrix``) and check the relative residual against ``rtol``, with one

@@ -24,6 +24,7 @@ from .grid import build_grid, build_weights
 from .integrator import RunResult, build_operators, dump_snapshot, run
 from .model import (FeedbackKind, Linear, feedback_from_name, feedback_name,
                     make_model)
+from .operators import check_sigma
 from .staticsolve import sin_load, solve_static
 
 
@@ -90,8 +91,8 @@ def preset(name: str) -> RunConfig:
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     """Check what the library does not (time window, stride, paths,
-    finiteness), then build the grid, weights and model so their own
-    checks run; any failure becomes a ConfigError prefixed by ``where``."""
+    finiteness), then run the library's checks on grid, weights, sigma and
+    model; any failure becomes a ConfigError prefixed by ``where``."""
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
 
@@ -106,15 +107,17 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
         fail(f"T must be nonnegative, got {cfg.T}")
     if cfg.record_stride < 1:
         fail(f"record_stride must be >= 1, got {cfg.record_stride}")
-    if not cfg.csv:
-        fail("csv path must be nonempty")
-    if cfg.svg is not None and not cfg.svg:
-        fail("svg path must be nonempty when given")
+    for key in ("csv", "svg") if cfg.svg is not None else ("csv",):
+        path = getattr(cfg, key)
+        # a config document ends a value at '#' or a line break
+        if not path or "#" in path or path.splitlines() != [path]:
+            fail(f"{key} path {path!r} must be one nonempty line without '#'")
     try:
         grid = build_grid(cfg.J, cfg.K, cfg.l)
         build_weights(grid)
-        make_model(grid, sigma=cfg.sigma, P=cfg.P, S=cfg.S,
-                   feedback=cfg.feedback, damping_width=cfg.width)
+        check_sigma(cfg.sigma)
+        make_model(grid, P=cfg.P, S=cfg.S, feedback=cfg.feedback,
+                   damping_width=cfg.width)
     except BergerdeckError as exc:
         fail(str(exc))
     return cfg
@@ -296,10 +299,9 @@ def run_config(cfg: RunConfig) -> RunResult:
     """
     grid = build_grid(cfg.J, cfg.K, cfg.l)
     ops = build_operators(grid, cfg.sigma)
-    model = make_model(grid, sigma=cfg.sigma, P=cfg.P, S=cfg.S,
-                       feedback=cfg.feedback, damping_width=cfg.width)
-    u0 = solve_static(sin_load(grid, 50.0, 2), grid, cfg.sigma,
-                      operator=ops.bilaplacian)
+    model = make_model(grid, P=cfg.P, S=cfg.S, feedback=cfg.feedback,
+                       damping_width=cfg.width)
+    u0 = solve_static(sin_load(grid, 50.0, 2), ops)
     v0 = np.zeros(grid.n_dof)
     return run(model, ops, u0, v0, cfg.dt, cfg.T,
                record_stride=cfg.record_stride, snapshot_times=cfg.snapshots)
@@ -348,7 +350,8 @@ def _cmd_run(args) -> int:
 def _cmd_static(args) -> int:
     cfg = _load_config(args)
     grid = build_grid(cfg.J, cfg.K, cfg.l)
-    u = solve_static(sin_load(grid, 50.0, 2), grid, cfg.sigma)
+    ops = build_operators(grid, cfg.sigma)
+    u = solve_static(sin_load(grid, 50.0, 2), ops)
     out = args.out or "static_solution.csv"
     dump_snapshot(u, grid, out)
     print(f"wrote {out} (max |u| = {float(np.max(np.abs(u))):.6g})")

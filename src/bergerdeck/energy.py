@@ -28,7 +28,7 @@ from .operators import (SparseOperator, _band, _finalize, _kron_sum,
                         _level_matrices, assemble_dxx, assemble_dy2)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .integrator import SimState
+    from .integrator import OperatorSet, SimState
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,19 @@ def cross_derivative_map(grid: Grid) -> SparseOperator:
 
 
 class PlateFormEvaluator:
-    """Evaluates the plate quadratic form and energy records.
+    """Evaluates the plate quadratic form and energy records on the grid,
+    sigma and weights of ``ops``, with ``ops.dxx`` as the u_xx map.
 
-    Builds the curvature and cross-derivative maps once; reuse one instance
-    across the steps of a run.
+    Builds the u_yy and u_xy maps once; reuse one instance across a run.
     """
 
-    def __init__(self, grid: Grid, sigma: float, weights: QuadratureWeights):
-        self.grid = grid
-        self.sigma = sigma
-        self.weights = weights
-        self.sxx = assemble_dxx(grid)
-        self.syy = assemble_dy2(grid, sigma)
-        self.sxy = cross_derivative_map(grid)
+    def __init__(self, ops: OperatorSet):
+        self.grid = ops.grid
+        self.sigma = ops.sigma
+        self.weights = ops.weights
+        self.sxx = ops.dxx
+        self.syy = assemble_dy2(ops.grid, ops.sigma)
+        self.sxy = cross_derivative_map(ops.grid)
 
     def form_value(self, U: np.ndarray) -> float:
         """Quadrature of F(u,u) over the rectangle."""
@@ -102,7 +102,7 @@ class PlateFormEvaluator:
         if state.step_index < 1:
             raise SequencingError(
                 "energy needs two field levels; call after the bootstrap step")
-        v = (state.u_curr - state.u_prev) / state.dt
+        v = state.velocity()
         kinetic = 0.5 * self.weights.integrate_cells(v * v)
         hstar = 0.5 * self.form_value(state.u_curr)
         q = stretch_integral(state.u_curr, self.weights)
@@ -114,17 +114,16 @@ class PlateFormEvaluator:
                             dissipated_cum=dissipated_cum)
 
 
-def dissipation_residual(records: list[EnergyRecord],
-                         eps_floor: float = 1e-300) -> float:
+def dissipation_residual(records: list[EnergyRecord]) -> float:
     """Worst violation of the energy identity between consecutive records.
 
     For each adjacent pair the energy drop should match the damping ledger:
     E(t2) - E(t1) + [D(t2) - D(t1)] ~ 0.  The maximum absolute mismatch is
-    normalized by max(E(first record), eps_floor).
+    normalized by max(E(first record), 1e-300).
     """
     if len(records) < 2:
         raise SequencingError("dissipation residual needs at least two records")
-    scale = max(records[0].total, eps_floor)
+    scale = max(records[0].total, 1e-300)
     worst = 0.0
     for prev, cur in zip(records, records[1:]):
         gap = abs(cur.total - prev.total + (cur.dissipated_cum - prev.dissipated_cum))
@@ -156,25 +155,22 @@ def gradient_gram(grid: Grid, weights: QuadratureWeights) -> SparseOperator:
     return _finalize(sx.T @ W @ sx + sy.T @ W @ sy)
 
 
-def lambda1_estimate(grid: Grid, sigma: float,
-                     weights: QuadratureWeights | None = None,
-                     tol: float = 1e-8, max_iter: int = 500) -> float:
+def lambda1_estimate(grid: Grid, sigma: float) -> float:
     """Smallest generalized eigenvalue of (plate form, gradient form).
 
     Inverse power iteration on the pencil A x = lambda B x: the plate Gram
     matrix A is positive definite, so each sweep solves with its one-time
     factorization; iteration stops when the Rayleigh quotient is stationary
-    to ``tol`` relative.
+    to 1e-8 relative.
     """
-    if weights is None:
-        weights = build_weights(grid)
+    weights = build_weights(grid)
     A = hstar_gram(grid, sigma, weights)
     B = gradient_gram(grid, weights)
     lu = spla.splu(sp.csc_matrix(A))
     x = np.ones(grid.n_dof)
     x /= np.linalg.norm(x)
     rho_prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(500):
         y = lu.solve(B @ x)
         norm = np.linalg.norm(y)
         if norm == 0.0:
@@ -183,9 +179,9 @@ def lambda1_estimate(grid: Grid, sigma: float,
         num = float(x @ (A @ x))
         den = float(x @ (B @ x))
         rho = num / den
-        if abs(rho - rho_prev) <= tol * abs(rho):
+        if abs(rho - rho_prev) <= 1e-8 * abs(rho):
             return rho
         rho_prev = rho
     raise ConvergenceError(
-        f"embedding-constant iteration did not settle in {max_iter} sweeps",
+        "embedding-constant iteration did not settle in 500 sweeps",
         last_value=rho_prev)

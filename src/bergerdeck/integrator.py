@@ -50,45 +50,45 @@ class SimState:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Operators a run needs, assembled once per grid and Poisson ratio."""
+    """A run's grid and Poisson ratio and the operators assembled from them,
+    read by the stepper, the static solve and the energy evaluator."""
 
     grid: Grid
+    sigma: float
     weights: QuadratureWeights
     bilaplacian: SparseOperator
     dxx: SparseOperator
 
 
 def build_operators(grid: Grid, sigma: float) -> OperatorSet:
-    return OperatorSet(grid=grid, weights=build_weights(grid),
+    return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
                        bilaplacian=assemble_bilaplacian(grid, sigma),
                        dxx=assemble_dxx(grid))
 
 
 class FactorizedSystem:
-    """M = I + dt^2/2 * bilaplacian, solved in x sine modes.
+    """M = I + dt^2/2 * ops.bilaplacian, solved in x sine modes.
 
     The orthonormal DST-I along x splits M into one (K+2) x (K+2) block per
-    mode (``operators.modal_blocks``); the blocks are inverted once, so a
-    solve is two transforms and a batched matrix-vector product.  Every
-    solve is checked against the relative residual contract on the sparse
-    M; a miss raises SolveError carrying the achieved residual.
+    mode (``operators.modal_blocks`` of ``ops``); the blocks are inverted
+    once, so a solve is two transforms and a batched matrix-vector product.
+    Every solve is checked against the relative residual contract
+    ``_direct.RTOL`` on the sparse M; a miss raises SolveError.
     """
 
-    def __init__(self, grid: Grid, sigma: float, bilaplacian: SparseOperator,
-                 dt: float, rtol: float = 1e-10):
+    def __init__(self, ops: OperatorSet, dt: float):
         if dt <= 0:
             raise ShapeError(f"time step must be positive, got {dt}")
-        n = bilaplacian.shape[0]
         self.dt = dt
-        self.rtol = rtol
-        self.matrix = sp.identity(n, format="csr") + (dt * dt / 2.0) * bilaplacian
-        blocks = modal_blocks(grid, sigma)
+        self.matrix = sp.identity(ops.grid.n_dof, format="csr") \
+            + (dt * dt / 2.0) * ops.bilaplacian
+        blocks = modal_blocks(ops.grid, ops.sigma)
         blocks *= dt * dt / 2.0
-        blocks += np.eye(grid.K + 2)
+        blocks += np.eye(ops.grid.K + 2)
         self._solver = ModalSolver(blocks)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = refine_solve(self._solver, self.matrix, rhs, self.rtol)
+        x, _ = refine_solve(self._solver, self.matrix, rhs)
         return x
 
 
@@ -161,6 +161,9 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     onto the step of an earlier request, raises ParameterError.
     Identical inputs produce bitwise-identical records.
     """
+    if model.damping.a.shape != (ops.grid.n_dof,):
+        raise ShapeError(f"damping collar has {model.damping.a.size} nodes, "
+                         f"the operators' grid has {ops.grid.n_dof}")
     if record_stride < 1:
         raise ShapeError(f"record stride must be >= 1, got {record_stride}")
     n_steps = int(round(T / dt))
@@ -175,8 +178,8 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
                                  f"{t_req:g} both round to step {k}")
         wanted_steps[k] = t_req
 
-    sys = FactorizedSystem(ops.grid, model.sigma, ops.bilaplacian, dt)
-    evaluator = PlateFormEvaluator(ops.grid, model.sigma, ops.weights)
+    sys = FactorizedSystem(ops, dt)
+    evaluator = PlateFormEvaluator(ops)
     state = bootstrap(U0, V0, model, ops, dt)
 
     def damping_power(s: SimState) -> tuple[np.ndarray, float]:

@@ -236,21 +236,16 @@ def berger_coefficient(U: np.ndarray, weights: QuadratureWeights,
 
 @dataclass(frozen=True)
 class ModelConfig:
-    grid: Grid
-    sigma: float
     P: float
     S: float
     feedback: FeedbackKind
     damping: DampingField
 
 
-def make_model(grid: Grid, *, sigma: float, P: float, S: float,
-               feedback: FeedbackKind, damping_width: int = 5) -> ModelConfig:
-    """Validate parameters and attach the damping collar."""
-    if not 0.0 < sigma < 0.5:
-        raise ParameterError(f"Poisson ratio sigma must lie in (0, 1/2), got {sigma}")
+def make_model(grid: Grid, *, P: float, S: float, feedback: FeedbackKind,
+               damping_width: int = 5) -> ModelConfig:
+    """Validate S and lay the damping collar out on ``grid``."""
     if S < 0:
         raise ParameterError(f"stretching constant S must be nonnegative, got {S}")
     damping = damping_mask(grid, damping_width)
-    return ModelConfig(grid=grid, sigma=sigma, P=float(P), S=float(S),
-                       feedback=feedback, damping=damping)
+    return ModelConfig(P=float(P), S=float(S), feedback=feedback, damping=damping)

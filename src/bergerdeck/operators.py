@@ -30,9 +30,9 @@ def _finalize(matrix: sp.spmatrix) -> SparseOperator:
     return out
 
 
-def _check_sigma(sigma: float) -> None:
+def check_sigma(sigma: float) -> None:
     if not 0.0 < sigma < 0.5:
-        raise ParameterError(f"Poisson ratio must lie in (0, 1/2), got {sigma}")
+        raise ParameterError(f"Poisson ratio sigma must lie in (0, 1/2), got {sigma}")
 
 
 def assemble_d2_1d(n: int, h: float) -> SparseOperator:
@@ -108,7 +108,7 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
     the boundary identity u_yy = -sigma*u_xx directly (no 1/dy^2 factor),
     which is what the ghost elimination of the fourth difference consumes.
     """
-    _check_sigma(sigma)
+    check_sigma(sigma)
     ny = grid.K + 2
     inv_dy2 = 1.0 / (grid.dy * grid.dy)
     rows = _band(range(1, ny - 1),
@@ -152,7 +152,7 @@ def _edge_rows(sigma: float, dy2: float) -> dict:
 def _dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
     """Level matrices C_0, C_1, C_2 of the y fourth difference, unscaled:
     D_y^4 = sum_p kron(C_p, Lx^p) / dy^4."""
-    _check_sigma(sigma)
+    check_sigma(sigma)
     ny = grid.K + 2
     rows = _band(range(2, ny - 2),
                  tuple((c, 0.0, 0.0) for c in (1.0, -4.0, 6.0, -4.0, 1.0)))
@@ -176,7 +176,6 @@ def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
     term uses the boundary-modified y second derivative, so the free-edge
     identities enter every term consistently.
     """
-    _check_sigma(sigma)
     eye_y = sp.identity(grid.K + 2, format="csr")
     dx4 = sp.kron(eye_y, assemble_d4_hinged_1d(grid.J, grid.dx), format="csr")
     dy4 = assemble_dy4(grid, sigma)
@@ -250,7 +249,7 @@ def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
     the shorthand's row k = 1 agrees with the derivation, its row k = 0
     does not.
     """
-    _check_sigma(sigma)
+    check_sigma(sigma)
     dy2 = grid.dy * grid.dy
     sigma1, sigma2 = free_edge_shorthand_coefficients(sigma, grid.dy)
     derived = _edge_rows(sigma, dy2)

@@ -3,35 +3,37 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._direct import ModalSolver, refine_solve
 from .errors import ShapeError, SolveError
 from .grid import Grid
-from .operators import SparseOperator, assemble_bilaplacian, modal_blocks
+from .operators import modal_blocks
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .integrator import OperatorSet
 
 
-def solve_static(f: np.ndarray, grid: Grid, sigma: float,
-                 operator: SparseOperator | None = None,
-                 rtol: float = 1e-10) -> np.ndarray:
-    """Solve the discrete bilaplacian problem for a per-node load vector.
+def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:
+    """Solve ``ops.bilaplacian U = f`` for a per-node load vector f.
 
     The orthonormal DST-I along x splits the operator into one (K+2) x
-    (K+2) block per sine mode (``operators.modal_blocks``); each block is
-    solved directly, and the solve is checked against the residual contract
-    on the sparse operator; a miss raises SolveError carrying the achieved
-    residual as a conditioning diagnostic.  The contract is measured on
-    the normwise backward-error scale: the operator carries 1/dx^4-sized
-    entries, so on fine grids no float64 vector satisfies
-    ||A U - F|| <= rtol ||F||.
+    (K+2) block per sine mode (``operators.modal_blocks`` of ``ops``); each
+    block is solved directly, and the solve is checked against the residual
+    contract ``_direct.RTOL`` on the sparse operator; a miss raises
+    SolveError carrying the achieved residual as a conditioning diagnostic.
+    The contract is measured on the normwise backward-error scale: the
+    operator carries 1/dx^4-sized entries, so on fine grids no float64
+    vector satisfies ||A U - F|| <= RTOL ||F||.
     """
-    if f.shape != (grid.n_dof,):
-        raise ShapeError(f"expected load of length {grid.n_dof}, got {f.shape}")
-    A = operator if operator is not None else assemble_bilaplacian(grid, sigma)
-    solver = ModalSolver(modal_blocks(grid, sigma), invert=False)
+    n = ops.grid.n_dof
+    if f.shape != (n,):
+        raise ShapeError(f"expected load of length {n}, got {f.shape}")
+    solver = ModalSolver(modal_blocks(ops.grid, ops.sigma), invert=False)
     try:
-        U, _ = refine_solve(solver, A, f, rtol, backward_scale=True)
+        U, _ = refine_solve(solver, ops.bilaplacian, f, backward_scale=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - singular block
         raise SolveError(f"static solve failed: {exc}") from exc
     return U

@@ -8,6 +8,7 @@ few minutes on a laptop.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from bergerdeck import (analytic_oracle, assemble_bilaplacian, assemble_d2_1d,
                         build_weights, dissipation_residual, fit_decay,
                         lambda1_estimate, make_model, ode_decay, run,
                         sin_load, solve_static)
-from bergerdeck.cli import preset
+from bergerdeck.cli import preset, run_config
 from bergerdeck.decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw,
                                  ExponentialLaw, LogarithmicLaw)
 from bergerdeck.integrator import FactorizedSystem, SimState, step
@@ -36,18 +37,8 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 def preset_runs():
     """fig6/fig7/fig8 with per-step records (stride 1 sharpens the
     monotonicity check; the presets' stride only thins output)."""
-    results = {}
-    for name in PRESET_NAMES:
-        cfg = preset(name)
-        grid = build_grid(cfg.J, cfg.K, cfg.l)
-        ops = build_operators(grid, cfg.sigma)
-        model = make_model(grid, sigma=cfg.sigma, P=cfg.P, S=cfg.S,
-                           feedback=cfg.feedback, damping_width=cfg.width)
-        u0 = solve_static(sin_load(grid, 50.0, 2), grid, cfg.sigma,
-                          operator=ops.bilaplacian)
-        results[name] = run(model, ops, u0, np.zeros_like(u0), cfg.dt, cfg.T,
-                            record_stride=1)
-    return results
+    return {name: run_config(replace(preset(name), record_stride=1))
+            for name in PRESET_NAMES}
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +51,9 @@ def conservation_runs():
     """
     grid = build_grid(75, 49, math.pi / 4)
     ops = build_operators(grid, 0.2)
-    model = make_model(grid, sigma=0.2, P=0.0, S=0.0,
+    model = make_model(grid, P=0.0, S=0.0,
                        feedback=feedback_from_name("linear"), damping_width=0)
-    u0 = solve_static(sin_load(grid, 50.0, 1), grid, 0.2,
-                      operator=ops.bilaplacian)
+    u0 = solve_static(sin_load(grid, 50.0, 1), ops)
     v0 = np.zeros_like(u0)
     out = {}
     for dt in (1e-3, 5e-4):
@@ -77,7 +67,7 @@ def test_criterion_1_static_accuracy(preset_grid):
     grid = preset_grid
     weights = build_weights(grid)
     started = time.perf_counter()
-    u = solve_static(sin_load(grid, 50.0, 2), grid, 0.2)
+    u = solve_static(sin_load(grid, 50.0, 2), build_operators(grid, 0.2))
     elapsed = time.perf_counter() - started
     oracle = analytic_oracle(50.0, 2, grid.l, 0.2)
     diff = u - oracle.sample(grid)
@@ -194,10 +184,10 @@ def test_criterion_6_table_forms_solve_the_ode():
 def test_criterion_7_step_matches_dense_reference(tiny_grid):
     grid = tiny_grid
     ops = build_operators(grid, 0.2)
-    model = make_model(grid, sigma=0.2, P=1e-3, S=1e-5,
+    model = make_model(grid, P=1e-3, S=1e-5,
                        feedback=feedback_from_name("linear"), damping_width=1)
     dt = 0.01
-    sys = FactorizedSystem(grid, 0.2, ops.bilaplacian, dt=dt)
+    sys = FactorizedSystem(ops, dt=dt)
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(3):

@@ -317,6 +317,18 @@ def test_main_validation_error_exits_1(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--out", "run#2.csv"), ("--svg", "a#b.svg"), ("--out", "run\n2.csv")])
+def test_main_path_a_config_document_would_cut_exits_1(tmp_path, capsys,
+                                                       option, value):
+    # '#' opens a comment and a line break ends a value, so render_config
+    # and parse_config would not give such a path back
+    cfg_path = _small_config_text(tmp_path)
+    assert main(["run", "--config", cfg_path, option, str(tmp_path / value)]) == 1
+    key = "csv" if option == "--out" else "svg"
+    assert f"{key} path" in capsys.readouterr().err
+
+
 def test_main_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
-                        build_weights, dissipation_residual, lambda1_estimate,
-                        make_model)
+                        build_operators, dissipation_residual,
+                        lambda1_estimate, make_model)
 from bergerdeck.energy import gradient_gram, hstar_gram
 from bergerdeck.errors import SequencingError, ShapeError
 
@@ -19,12 +19,12 @@ def _state(u_curr, u_prev, dt=0.1, step=1):
 
 
 @pytest.fixture(scope="module")
-def tiny_form(tiny_grid, tiny_weights):
-    return PlateFormEvaluator(tiny_grid, SIGMA, tiny_weights)
+def tiny_form(tiny_grid):
+    return PlateFormEvaluator(build_operators(tiny_grid, SIGMA))
 
 
-def _record(state, model, weights):
-    return PlateFormEvaluator(model.grid, model.sigma, weights).record(state, model)
+def _record(state, model, grid):
+    return PlateFormEvaluator(build_operators(grid, SIGMA)).record(state, model)
 
 
 # --- the plate quadratic form ---------------------------------------------
@@ -34,10 +34,9 @@ def test_form_zero_field(tiny_grid, tiny_form):
 
 
 def test_form_of_sine_sheet(preset_grid):
-    w = build_weights(preset_grid)
     X, _ = preset_grid.meshgrid()
     U = np.sin(X).ravel()
-    value = PlateFormEvaluator(preset_grid, SIGMA, w).form_value(U)
+    value = PlateFormEvaluator(build_operators(preset_grid, SIGMA)).form_value(U)
     assert value == pytest.approx(math.pi * preset_grid.l, rel=2e-2)
 
 
@@ -81,42 +80,41 @@ def test_form_shape_error(tiny_form):
 
 # --- energy records -----------------------------------------------------------
 
-def test_zero_state_record(tiny_grid, tiny_weights):
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+def test_zero_state_record(tiny_grid):
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=Linear(), damping_width=1)
     z = np.zeros(tiny_grid.n_dof)
-    rec = _record(_state(z, z), model, tiny_weights)
+    rec = _record(_state(z, z), model, tiny_grid)
     assert rec.kinetic == rec.hstar == rec.px == rec.sx == rec.total == 0.0
 
 
-def test_constant_velocity_kinetic_energy(tiny_grid, tiny_weights):
-    model = make_model(tiny_grid, sigma=SIGMA, P=0.0, S=0.0,
+def test_constant_velocity_kinetic_energy(tiny_grid):
+    model = make_model(tiny_grid, P=0.0, S=0.0,
                        feedback=Linear(), damping_width=0)
     dt = 0.25
     u_prev = np.zeros(tiny_grid.n_dof)
     u_curr = dt * np.ones(tiny_grid.n_dof)  # V = 1 everywhere
-    rec = _record(_state(u_curr, u_prev, dt=dt), model, tiny_weights)
+    rec = _record(_state(u_curr, u_prev, dt=dt), model, tiny_grid)
     assert rec.kinetic == pytest.approx(math.pi * tiny_grid.l, abs=1e-10)
 
 
 def test_record_decomposition(preset_grid):
-    w = build_weights(preset_grid)
-    model = make_model(preset_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(preset_grid, P=1e-3, S=1e-5,
                        feedback=Linear(), damping_width=5)
     rng = np.random.default_rng(3)
     u_prev = rng.normal(size=preset_grid.n_dof)
     u_curr = u_prev + 0.01 * rng.normal(size=preset_grid.n_dof)
-    rec = _record(_state(u_curr, u_prev, dt=0.01), model, w)
+    rec = _record(_state(u_curr, u_prev, dt=0.01), model, preset_grid)
     recomposed = rec.kinetic + rec.hstar + rec.px + rec.sx
     assert rec.total == pytest.approx(recomposed, rel=1e-12)
 
 
-def test_step_zero_is_rejected(tiny_grid, tiny_weights):
-    model = make_model(tiny_grid, sigma=SIGMA, P=0.0, S=0.0,
+def test_step_zero_is_rejected(tiny_grid):
+    model = make_model(tiny_grid, P=0.0, S=0.0,
                        feedback=Linear(), damping_width=0)
     z = np.zeros(tiny_grid.n_dof)
     with pytest.raises(SequencingError, match="bootstrap"):
-        _record(_state(z, z, step=0), model, tiny_weights)
+        _record(_state(z, z, step=0), model, tiny_grid)
 
 
 # --- dissipation residual -----------------------------------------------------
@@ -151,7 +149,7 @@ def test_residual_needs_two_records():
 # --- embedding constant ------------------------------------------------------
 
 def test_lambda1_matches_dense_oracle(tiny_grid, tiny_weights):
-    value = lambda1_estimate(tiny_grid, SIGMA, tiny_weights)
+    value = lambda1_estimate(tiny_grid, SIGMA)
     A = hstar_gram(tiny_grid, SIGMA, tiny_weights).toarray()
     B = gradient_gram(tiny_grid, tiny_weights).toarray()
     # B is singular, A is definite: solve the flipped pencil B x = mu A x
@@ -161,7 +159,7 @@ def test_lambda1_matches_dense_oracle(tiny_grid, tiny_weights):
 
 
 def test_lambda1_positive_and_minimal(tiny_grid, tiny_weights):
-    value = lambda1_estimate(tiny_grid, SIGMA, tiny_weights)
+    value = lambda1_estimate(tiny_grid, SIGMA)
     assert value > 0.0
     A = hstar_gram(tiny_grid, SIGMA, tiny_weights)
     B = gradient_gram(tiny_grid, tiny_weights)

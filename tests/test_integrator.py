@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from bergerdeck import (FactorizedSystem, Linear, OperatorSet, SqrtOdd,
-                        bootstrap, build_operators, build_weights,
+                        bootstrap, build_grid, build_operators, build_weights,
                         dump_snapshot, make_model, run, sin_load, solve_static,
                         step)
 from bergerdeck.errors import NonFiniteError, ShapeError
@@ -21,12 +21,12 @@ def tiny_ops(tiny_grid):
 
 @pytest.fixture(scope="module")
 def tiny_model(tiny_grid):
-    return make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    return make_model(tiny_grid, P=1e-3, S=1e-5,
                       feedback=Linear(), damping_width=1)
 
 
 def _undamped_model(grid):
-    return make_model(grid, sigma=SIGMA, P=0.0, S=0.0, feedback=Linear(),
+    return make_model(grid, P=0.0, S=0.0, feedback=Linear(),
                       damping_width=0)
 
 
@@ -49,8 +49,7 @@ def test_bootstrap_pure_velocity(tiny_ops, tiny_grid):
 
 
 def test_bootstrap_matches_dense_oracle(tiny_ops, tiny_model, tiny_grid):
-    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_grid, SIGMA,
-                      operator=tiny_ops.bilaplacian)
+    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
     v0 = np.zeros(tiny_grid.n_dof)
     state = bootstrap(u0, v0, tiny_model, tiny_ops, dt=0.01)
     ref = dense_bootstrap(u0, v0, tiny_grid.J, tiny_grid.K, tiny_grid.l,
@@ -77,8 +76,9 @@ def test_step_free_recurrence(tiny_grid):
     # zero-operator surrogate: U^{n+1} = 2 U^n - U^{n-1}
     n = tiny_grid.n_dof
     zero = sp.csr_matrix((n, n))
-    ops = OperatorSet(grid=tiny_grid, weights=build_weights(tiny_grid),
-                      bilaplacian=zero, dxx=zero)
+    ops = OperatorSet(grid=tiny_grid, sigma=SIGMA,
+                      weights=build_weights(tiny_grid), bilaplacian=zero,
+                      dxx=zero)
     model = _undamped_model(tiny_grid)
     sys = _IdentitySystem()
     rng = np.random.default_rng(0)
@@ -90,17 +90,17 @@ def test_step_free_recurrence(tiny_grid):
 
 def test_step_zero_fixed_point(tiny_ops, tiny_model, tiny_grid):
     z = np.zeros(tiny_grid.n_dof)
-    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_ops, dt=0.01)
     state = SimState(u_curr=z, u_prev=z, t=0.01, step_index=1, dt=0.01)
     out = step(state, sys, tiny_ops, tiny_model)
     np.testing.assert_array_equal(out.u_curr, z)
 
 
 def test_step_matches_dense_oracle(tiny_ops, tiny_grid):
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
     dt = 0.01
-    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=dt)
+    sys = FactorizedSystem(tiny_ops, dt=dt)
     rng = np.random.default_rng(99)
     u = rng.normal(size=tiny_grid.n_dof)
     up = u + dt * rng.normal(size=tiny_grid.n_dof)
@@ -114,9 +114,9 @@ def test_step_matches_dense_oracle(tiny_ops, tiny_grid):
 
 def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_grid):
     from bergerdeck.integrator import _damping_force
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
-    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_ops, dt=0.01)
     rng = np.random.default_rng(9)
     u, up = rng.normal(size=tiny_grid.n_dof), rng.normal(size=tiny_grid.n_dof)
     state = SimState(u_curr=u, u_prev=up, t=0.01, step_index=1, dt=0.01)
@@ -128,7 +128,7 @@ def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_grid):
 
 def test_step_detects_non_finite(tiny_ops, tiny_model, tiny_grid):
     bad = np.full(tiny_grid.n_dof, np.nan)
-    sys = FactorizedSystem(tiny_grid, SIGMA, tiny_ops.bilaplacian, dt=0.01)
+    sys = FactorizedSystem(tiny_ops, dt=0.01)
     state = SimState(u_curr=bad, u_prev=bad, t=0.01, step_index=1, dt=0.01)
     with pytest.raises(NonFiniteError) as err:
         step(state, sys, tiny_ops, tiny_model)
@@ -152,7 +152,7 @@ def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
         return eval_feedback(kind, s)
 
     monkeypatch.setattr(integrator, "eval_feedback", counted)
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
     u0 = np.zeros(tiny_grid.n_dof)
     run(model, tiny_ops, u0, np.ones_like(u0), dt=0.01, T=0.5)
@@ -161,10 +161,9 @@ def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
 
 
 def test_run_is_deterministic(tiny_ops, tiny_grid):
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
-    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_grid, SIGMA,
-                      operator=tiny_ops.bilaplacian)
+    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
     v0 = np.zeros(tiny_grid.n_dof)
     a = run(model, tiny_ops, u0, v0, dt=0.01, T=1.0)
     b = run(model, tiny_ops, u0, v0, dt=0.01, T=1.0)
@@ -177,8 +176,7 @@ def test_run_is_deterministic(tiny_ops, tiny_grid):
 def test_unconditional_stability(dt, tiny_grid):
     ops = build_operators(tiny_grid, SIGMA)
     model = _undamped_model(tiny_grid)
-    u0 = solve_static(sin_load(tiny_grid, 50.0, 1), tiny_grid, SIGMA,
-                      operator=ops.bilaplacian)
+    u0 = solve_static(sin_load(tiny_grid, 50.0, 1), ops)
     v0 = np.zeros(tiny_grid.n_dof)
     result = run(model, ops, u0, v0, dt=dt, T=10.0, record_stride=10)
     e0 = result.records[0].total
@@ -186,15 +184,23 @@ def test_unconditional_stability(dt, tiny_grid):
 
 
 def test_damping_ledger_nonnegative_and_monotone(tiny_ops, tiny_grid):
-    model = make_model(tiny_grid, sigma=SIGMA, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
-    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_grid, SIGMA,
-                      operator=tiny_ops.bilaplacian)
+    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
     result = run(model, tiny_ops, u0, np.zeros_like(u0), dt=0.01, T=2.0)
     ledgers = [r.dissipated_cum for r in result.records]
     assert ledgers[0] == 0.0
     assert all(b >= a for a, b in zip(ledgers, ledgers[1:]))
     assert ledgers[-1] > 0.0
+
+
+def test_run_refuses_collar_of_another_grid(tiny_ops):
+    other = build_grid(7, 3, 1.0)
+    model = make_model(other, P=0.0, S=0.0, feedback=Linear(), damping_width=1)
+    z = np.zeros(tiny_ops.grid.n_dof)
+    sizes = rf"\b{other.n_dof}\b.*\b{tiny_ops.grid.n_dof}\b"
+    with pytest.raises(ShapeError, match=sizes):
+        run(model, tiny_ops, z, z, dt=0.01, T=0.1)
 
 
 def test_run_snapshot_capture(tiny_ops, tiny_model, tiny_grid, tmp_path):

@@ -180,12 +180,9 @@ def test_phi_shape_error(tiny_weights):
 # --- model construction -----------------------------------------------------------
 
 def test_make_model_validates(tiny_grid):
-    with pytest.raises(ParameterError, match="Poisson"):
-        make_model(tiny_grid, sigma=0.7, P=0.0, S=0.0, feedback=Linear(),
-                   damping_width=0)
     with pytest.raises(ParameterError, match="S"):
-        make_model(tiny_grid, sigma=0.2, P=0.0, S=-1.0, feedback=Linear(),
+        make_model(tiny_grid, P=0.0, S=-1.0, feedback=Linear(),
                    damping_width=0)
-    model = make_model(tiny_grid, sigma=0.2, P=1e-3, S=1e-5,
+    model = make_model(tiny_grid, P=1e-3, S=1e-5,
                        feedback=SqrtOdd(), damping_width=1)
     assert model.damping.a.shape == (tiny_grid.n_dof,)
