@@ -4,12 +4,12 @@ nonlocal stretching nonlinearity and damping on a boundary collar."""
 from .grid import Grid, QuadratureWeights, build_grid, build_weights
 from .model import (DampingField, ExpDegenerate, FeedbackKind, Linear,
                     ModelConfig, Piecewise, Power, SqrtOdd,
-                    berger_coefficient, classify_order, damping_mask,
-                    eval_feedback, feedback_from_name, feedback_name,
-                    make_model, stretch_integral)
+                    berger_coefficient, damping_mask, eval_feedback,
+                    feedback_from_name, feedback_name, make_model,
+                    stretch_integral)
 from .operators import (assemble_bilaplacian, assemble_d2_1d,
                         assemble_d4_hinged_1d, assemble_dxx, assemble_dy2,
-                        assemble_dy4, dump_triplets, free_edge_stencil_report)
+                        assemble_dy4, free_edge_stencil_report)
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
                      lambda1_estimate)

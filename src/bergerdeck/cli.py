@@ -22,8 +22,8 @@ from .errors import (BergerdeckError, ConfigError, ConvergenceError,
                      NonFiniteError, PlotError, SolveError)
 from .grid import build_grid, build_weights
 from .integrator import RunResult, build_operators, dump_snapshot, run
-from .model import (FeedbackKind, Linear, feedback_from_name, feedback_name,
-                    make_model)
+from .model import (FeedbackKind, Linear, damping_mask, feedback_from_name,
+                    feedback_name, make_model)
 from .operators import check_sigma
 from .staticsolve import sin_load, solve_static
 
@@ -91,8 +91,9 @@ def preset(name: str) -> RunConfig:
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     """Check what the library does not (time window, stride, paths,
-    finiteness), then run the library's checks on grid, weights, sigma and
-    model; any failure becomes a ConfigError prefixed by ``where``."""
+    finiteness), then run the library's checks on grid, weights, sigma,
+    model and collar; any failure becomes a ConfigError prefixed by
+    ``where``."""
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
 
@@ -109,15 +110,18 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
         fail(f"record_stride must be >= 1, got {cfg.record_stride}")
     for key in ("csv", "svg") if cfg.svg is not None else ("csv",):
         path = getattr(cfg, key)
-        # a config document ends a value at '#' or a line break
-        if not path or "#" in path or path.splitlines() != [path]:
-            fail(f"{key} path {path!r} must be one nonempty line without '#'")
+        # a config document ends a value at '#' or a line break and strips
+        # the blanks around it
+        if not path or "#" in path or path.splitlines() != [path] \
+                or path != path.strip():
+            fail(f"{key} path {path!r} must be one nonempty line without '#' "
+                 f"or blanks at either end")
     try:
         grid = build_grid(cfg.J, cfg.K, cfg.l)
         build_weights(grid)
         check_sigma(cfg.sigma)
-        make_model(grid, P=cfg.P, S=cfg.S, feedback=cfg.feedback,
-                   damping_width=cfg.width)
+        make_model(P=cfg.P, S=cfg.S, feedback=cfg.feedback)
+        damping_mask(grid, cfg.width)
     except BergerdeckError as exc:
         fail(str(exc))
     return cfg
@@ -213,21 +217,10 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 
 def emit_svg_plot(records: list[EnergyRecord], path: str,
-                  scale: str = "linear", title: str = "energy") -> None:
-    """Standalone SVG line chart of total energy against time.
-
-    ``scale`` is "linear" or "logy"; on the log scale, nonpositive energies
-    are dropped and the drop count is annotated on the chart.
-    """
-    if scale not in ("linear", "logy"):
-        raise PlotError(f"scale must be 'linear' or 'logy', got {scale!r}")
+                  title: str = "energy") -> None:
+    """Standalone SVG line chart of total energy against time."""
     ts = np.array([rec.t for rec in records])
     es = np.array([rec.total for rec in records])
-    dropped = 0
-    if scale == "logy":
-        keep = es > 0.0
-        dropped = int((~keep).sum())
-        ts, es = ts[keep], np.log10(es[keep])
     if len(ts) < 2:
         raise PlotError(f"need at least 2 plottable points, got {len(ts)}")
 
@@ -270,14 +263,10 @@ def emit_svg_plot(records: list[EnergyRecord], path: str,
                      f'font-family="sans-serif" font-size="11">{tick:.4g}</text>')
     for tick in _ticks(y0, y1):
         py = sy(tick)
-        label = 10.0 ** tick if scale == "logy" else tick
         parts.append(f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" '
                      f'y2="{py:.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{left - 8}" y="{py + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{label:.3g}</text>')
-    if dropped:
-        parts.append(f'<text x="{right - 6}" y="{top + 14}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">dropped={dropped}</text>')
+                     f'font-family="sans-serif" font-size="11">{tick:.3g}</text>')
     parts.append(f'<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" '
                  f'points="{points}"/>')
     parts.append("</svg>")
@@ -298,9 +287,8 @@ def run_config(cfg: RunConfig) -> RunResult:
     zero initial velocity, matching the figure experiments.
     """
     grid = build_grid(cfg.J, cfg.K, cfg.l)
-    ops = build_operators(grid, cfg.sigma)
-    model = make_model(grid, P=cfg.P, S=cfg.S, feedback=cfg.feedback,
-                       damping_width=cfg.width)
+    ops = build_operators(grid, cfg.sigma, cfg.width)
+    model = make_model(P=cfg.P, S=cfg.S, feedback=cfg.feedback)
     u0 = solve_static(sin_load(grid, 50.0, 2), ops)
     v0 = np.zeros(grid.n_dof)
     return run(model, ops, u0, v0, cfg.dt, cfg.T,
@@ -350,7 +338,7 @@ def _cmd_run(args) -> int:
 def _cmd_static(args) -> int:
     cfg = _load_config(args)
     grid = build_grid(cfg.J, cfg.K, cfg.l)
-    ops = build_operators(grid, cfg.sigma)
+    ops = build_operators(grid, cfg.sigma, cfg.width)
     u = solve_static(sin_load(grid, 50.0, 2), ops)
     out = args.out or "static_solution.csv"
     dump_snapshot(u, grid, out)
@@ -367,7 +355,11 @@ def _cmd_decay_fit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create sweep directory {args.out_dir!r}: "
+                          f"{exc}") from exc
     rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
     for name in ("fig6", "fig7", "fig8"):
         cfg = preset(name)
@@ -380,8 +372,11 @@ def _cmd_sweep(args) -> int:
         emit_svg_plot(result.records, f"{stem}.svg",
                       title=f"{name}: feedback {feedback_name(cfg.feedback)}")
     report = os.path.join(args.out_dir, "decay_fits.csv")
-    with open(report, "w", newline="") as handle:
-        handle.write("\n".join(rows) + "\n")
+    try:
+        with open(report, "w", newline="") as handle:
+            handle.write("\n".join(rows) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write fit report {report!r}: {exc}") from exc
     print(f"wrote {report}")
     return 0
 

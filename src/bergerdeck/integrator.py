@@ -28,9 +28,10 @@ import scipy.sparse as sp
 
 from ._direct import ModalSolver, refine_solve
 from .energy import EnergyRecord, PlateFormEvaluator
-from .errors import NonFiniteError, ParameterError, ShapeError
+from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
-from .model import ModelConfig, berger_coefficient, eval_feedback
+from .model import (DampingField, ModelConfig, berger_coefficient,
+                    damping_mask, eval_feedback)
 from .operators import (SparseOperator, assemble_bilaplacian, assemble_dxx,
                         modal_blocks)
 
@@ -50,20 +51,25 @@ class SimState:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """A run's grid and Poisson ratio and the operators assembled from them,
-    read by the stepper, the static solve and the energy evaluator."""
+    """A run's grid, Poisson ratio and damping collar and the operators
+    assembled from them, read by the stepper, the static solve and the
+    energy evaluator."""
 
     grid: Grid
     sigma: float
     weights: QuadratureWeights
     bilaplacian: SparseOperator
     dxx: SparseOperator
+    damping: DampingField
 
 
-def build_operators(grid: Grid, sigma: float) -> OperatorSet:
+def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
+    """Assemble the operators of ``grid`` at ``sigma`` and lay out the
+    collar of ``damping_width`` cells (0: no collar) on it."""
     return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
                        bilaplacian=assemble_bilaplacian(grid, sigma),
-                       dxx=assemble_dxx(grid))
+                       dxx=assemble_dxx(grid),
+                       damping=damping_mask(grid, damping_width))
 
 
 class FactorizedSystem:
@@ -73,12 +79,15 @@ class FactorizedSystem:
     mode (``operators.modal_blocks`` of ``ops``); the blocks are inverted
     once, so a solve is two transforms and a batched matrix-vector product.
     Every solve is checked against the relative residual contract
-    ``_direct.RTOL`` on the sparse M; a miss raises SolveError.
+    ``_direct.RTOL`` on the sparse M; a miss raises SolveError.  ``ops``
+    and ``dt`` stay on the system, so ``step`` and ``bootstrap`` read them
+    from here.
     """
 
     def __init__(self, ops: OperatorSet, dt: float):
         if dt <= 0:
             raise ShapeError(f"time step must be positive, got {dt}")
+        self.ops = ops
         self.dt = dt
         self.matrix = sp.identity(ops.grid.n_dof, format="csr") \
             + (dt * dt / 2.0) * ops.bilaplacian
@@ -92,9 +101,10 @@ class FactorizedSystem:
         return x
 
 
-def _damping_force(V: np.ndarray, model: ModelConfig) -> np.ndarray:
+def _damping_force(V: np.ndarray, model: ModelConfig,
+                   ops: OperatorSet) -> np.ndarray:
     """a * g(V); a is zero off the collar, and everywhere without one."""
-    return model.damping.a * eval_feedback(model.feedback, V)
+    return ops.damping.a * eval_feedback(model.feedback, V)
 
 
 def _applied_force(U: np.ndarray, damping: np.ndarray,
@@ -106,29 +116,36 @@ def _applied_force(U: np.ndarray, damping: np.ndarray,
 
 
 def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
-              ops: OperatorSet, dt: float) -> SimState:
-    """Second-order Taylor start: U^1 = U0 + dt V0 + dt^2/2 * A0."""
+              sys: FactorizedSystem) -> SimState:
+    """Second-order Taylor start: U^1 = U0 + dt V0 + dt^2/2 * A0, on the
+    operators and time step of ``sys``."""
+    ops, dt = sys.ops, sys.dt
     n = ops.grid.n_dof
     if U0.shape != (n,) or V0.shape != (n,):
         raise ShapeError(f"initial data must have length {n}, "
                          f"got {U0.shape} and {V0.shape}")
     accel = -(ops.bilaplacian @ U0) \
-        - _applied_force(U0, _damping_force(V0, model), model, ops)
+        - _applied_force(U0, _damping_force(V0, model, ops), model, ops)
     u1 = U0 + dt * V0 + 0.5 * dt * dt * accel
     if not np.isfinite(u1).all():
         raise NonFiniteError("non-finite state produced by the bootstrap", 1)
     return SimState(u_curr=u1, u_prev=U0.copy(), t=dt, step_index=1, dt=dt)
 
 
-def step(state: SimState, sys: FactorizedSystem, ops: OperatorSet,
-         model: ModelConfig, damping: np.ndarray | None = None) -> SimState:
-    """Advance one time step; ``damping`` is a * g(V) for the state's
-    velocity if the caller has it already, else it is evaluated here."""
-    dt = state.dt
+def step(state: SimState, sys: FactorizedSystem, model: ModelConfig,
+         damping: np.ndarray | None = None) -> SimState:
+    """Advance one time step on the operators and time step of ``sys``;
+    ``damping`` is a * g(V) for the state's velocity if the caller has it
+    already, else it is evaluated here.  A state marched at another time
+    step raises ParameterError."""
+    ops, dt = sys.ops, sys.dt
+    if state.dt != dt:
+        raise ParameterError(f"state has time step {state.dt:g}, "
+                             f"the system was built for {dt:g}")
     u, up = state.u_curr, state.u_prev
     new_index = state.step_index + 1
     if damping is None:
-        damping = _damping_force(state.velocity(), model)
+        damping = _damping_force(state.velocity(), model, ops)
     rhs = 2.0 * u - up - (dt * dt / 2.0) * (ops.bilaplacian @ u) \
         - dt * dt * _applied_force(u, damping, model, ops)
     if not np.isfinite(rhs).all():
@@ -161,9 +178,6 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     onto the step of an earlier request, raises ParameterError.
     Identical inputs produce bitwise-identical records.
     """
-    if model.damping.a.shape != (ops.grid.n_dof,):
-        raise ShapeError(f"damping collar has {model.damping.a.size} nodes, "
-                         f"the operators' grid has {ops.grid.n_dof}")
     if record_stride < 1:
         raise ShapeError(f"record stride must be >= 1, got {record_stride}")
     n_steps = int(round(T / dt))
@@ -180,12 +194,12 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
 
     sys = FactorizedSystem(ops, dt)
     evaluator = PlateFormEvaluator(ops)
-    state = bootstrap(U0, V0, model, ops, dt)
+    state = bootstrap(U0, V0, model, sys)
 
     def damping_power(s: SimState) -> tuple[np.ndarray, float]:
         """a g(V) and <a g(V), V> for the state's velocity V."""
         v = s.velocity()
-        damping = _damping_force(v, model)
+        damping = _damping_force(v, model, ops)
         return damping, ops.weights.integrate_cells(damping * v)
 
     ledger = 0.0
@@ -196,7 +210,7 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
         result.snapshots[wanted_steps[1]] = (state.t, state.u_curr.copy())
 
     for n in range(2, n_steps + 1):
-        state = step(state, sys, ops, model, damping)
+        state = step(state, sys, model, damping)
         damping, power = damping_power(state)
         ledger += dt * 0.5 * (power + power_prev)
         power_prev = power
@@ -219,5 +233,8 @@ def dump_snapshot(U: np.ndarray, grid: Grid, path: str) -> None:
     for k in range(grid.K + 2):
         for j in range(1, grid.J + 1):
             lines.append(f"{k},{j},{xs[j - 1]:.17g},{ys[k]:.17g},{u2[k, j - 1]:.17g}")
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc

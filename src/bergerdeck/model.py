@@ -1,5 +1,5 @@
 """Physical configuration: stretching coefficient, damping collar, and the
-feedback catalog with growth-order classification."""
+feedback catalog with the growth orders of each map."""
 
 from __future__ import annotations
 
@@ -77,8 +77,6 @@ class Piecewise:
     """
 
     label = "piecewise"
-    order_right = 2.0
-    order_left = 3.0
     order_at_origin = 3.0
     order_at_infinity = 3.0
 
@@ -143,26 +141,6 @@ def feedback_name(kind: FeedbackKind) -> str:
     if isinstance(kind, Power):
         return f"power:{kind.exponent!r}"
     return kind.label
-
-
-@dataclass(frozen=True)
-class OrderInfo:
-    origin: float
-    infinity: float
-    regime: str
-
-
-def classify_order(kind: FeedbackKind) -> OrderInfo:
-    """Growth exponents r with g(s) s ~ |s|^(r+1) near 0 and near infinity,
-    plus the regime label keyed off the behaviour at infinity."""
-    inf_order = kind.order_at_infinity
-    if inf_order < 1.0:
-        regime = "sublinear"
-    elif inf_order == 1.0:
-        regime = "linear"
-    else:
-        regime = "superlinear"
-    return OrderInfo(origin=kind.order_at_origin, infinity=inf_order, regime=regime)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +214,16 @@ def berger_coefficient(U: np.ndarray, weights: QuadratureWeights,
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The constants of the stretching term and the feedback map; the collar
+    it acts on belongs to the operators (``OperatorSet.damping``)."""
+
     P: float
     S: float
     feedback: FeedbackKind
-    damping: DampingField
 
 
-def make_model(grid: Grid, *, P: float, S: float, feedback: FeedbackKind,
-               damping_width: int = 5) -> ModelConfig:
-    """Validate S and lay the damping collar out on ``grid``."""
+def make_model(*, P: float, S: float, feedback: FeedbackKind) -> ModelConfig:
+    """Validate S."""
     if S < 0:
         raise ParameterError(f"stretching constant S must be nonnegative, got {S}")
-    damping = damping_mask(grid, damping_width)
-    return ModelConfig(P=float(P), S=float(S), feedback=feedback, damping=damping)
+    return ModelConfig(P=float(P), S=float(S), feedback=feedback)

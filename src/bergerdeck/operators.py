@@ -213,21 +213,6 @@ def modal_blocks(grid: Grid, sigma: float) -> np.ndarray:
     return blocks
 
 
-def dump_triplets(op: SparseOperator) -> str:
-    """Coordinate-triplet text dump: one ``row col value`` line per entry.
-
-    Values are rendered with 17 significant digits; entries are ordered by
-    (row, col), matching the CSR layout.
-    """
-    coo = op.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}"
-        for i in order
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def free_edge_shorthand_coefficients(sigma: float, dy: float) -> tuple[float, float]:
     """The compact (sigma1, sigma2) constants of the two-coefficient
     shorthand for the free-edge blocks:

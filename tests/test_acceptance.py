@@ -50,9 +50,8 @@ def conservation_runs():
     it is smooth and satisfies every discrete edge condition.
     """
     grid = build_grid(75, 49, math.pi / 4)
-    ops = build_operators(grid, 0.2)
-    model = make_model(grid, P=0.0, S=0.0,
-                       feedback=feedback_from_name("linear"), damping_width=0)
+    ops = build_operators(grid, 0.2, 0)
+    model = make_model(P=0.0, S=0.0, feedback=feedback_from_name("linear"))
     u0 = solve_static(sin_load(grid, 50.0, 1), ops)
     v0 = np.zeros_like(u0)
     out = {}
@@ -67,7 +66,7 @@ def test_criterion_1_static_accuracy(preset_grid):
     grid = preset_grid
     weights = build_weights(grid)
     started = time.perf_counter()
-    u = solve_static(sin_load(grid, 50.0, 2), build_operators(grid, 0.2))
+    u = solve_static(sin_load(grid, 50.0, 2), build_operators(grid, 0.2, 0))
     elapsed = time.perf_counter() - started
     oracle = analytic_oracle(50.0, 2, grid.l, 0.2)
     diff = u - oracle.sample(grid)
@@ -183,9 +182,8 @@ def test_criterion_6_table_forms_solve_the_ode():
 
 def test_criterion_7_step_matches_dense_reference(tiny_grid):
     grid = tiny_grid
-    ops = build_operators(grid, 0.2)
-    model = make_model(grid, P=1e-3, S=1e-5,
-                       feedback=feedback_from_name("linear"), damping_width=1)
+    ops = build_operators(grid, 0.2, 1)
+    model = make_model(P=1e-3, S=1e-5, feedback=feedback_from_name("linear"))
     dt = 0.01
     sys = FactorizedSystem(ops, dt=dt)
     rng = np.random.default_rng(1234)
@@ -194,9 +192,9 @@ def test_criterion_7_step_matches_dense_reference(tiny_grid):
         u = rng.normal(size=grid.n_dof)
         up = u + dt * rng.normal(size=grid.n_dof)
         state = SimState(u_curr=u, u_prev=up, t=dt, step_index=1, dt=dt)
-        ours = step(state, sys, ops, model).u_curr
+        ours = step(state, sys, model).u_curr
         ref = dense_step(u, up, grid.J, grid.K, grid.l, 0.2, 1e-3, 1e-5, dt,
-                         model.damping.a, lambda s: s)
+                         ops.damping.a, lambda s: s)
         worst = max(worst, float(np.max(np.abs(ours - ref))))
     ok = worst <= 1e-10
     _report(7, "step equals dense direct solve", ok,

@@ -11,8 +11,8 @@ import pytest
 
 import bergerdeck
 from bergerdeck import EnergyRecord, SqrtOdd
-from bergerdeck.cli import (PRESET_NAMES, RunConfig, emit_svg_plot, main,
-                            parse_config, preset, read_energy_csv,
+from bergerdeck.cli import (PRESET_NAMES, RunConfig, _validate, emit_svg_plot,
+                            main, parse_config, preset, read_energy_csv,
                             render_config, run_config, write_energy_csv)
 from bergerdeck.errors import ConfigError, PlotError
 from bergerdeck.model import Piecewise
@@ -219,16 +219,6 @@ def test_svg_two_points(tmp_path):
     assert "http://www.w3.org/2000/svg" in text
 
 
-def test_svg_logy_drops_nonpositive(tmp_path):
-    path = tmp_path / "p.svg"
-    records = [_rec(1, 0.0, 1.0), _rec(2, 1.0, 0.5), _rec(3, 2.0, 0.0)]
-    emit_svg_plot(records, str(path), scale="logy")
-    text = path.read_text()
-    assert "dropped=1" in text
-    points = re.search(r'points="([^"]+)"', text).group(1)
-    assert len(points.split()) == 2
-
-
 def test_svg_monotone_series_descends(tmp_path):
     path = tmp_path / "p.svg"
     records = [_rec(i, 0.1 * i, 10.0 * math.exp(-0.3 * i)) for i in range(1, 30)]
@@ -242,12 +232,6 @@ def test_svg_monotone_series_descends(tmp_path):
 def test_svg_needs_two_points(tmp_path):
     with pytest.raises(PlotError, match="2"):
         emit_svg_plot([_rec(1, 0.0, 1.0)], str(tmp_path / "p.svg"))
-
-
-def test_svg_rejects_unknown_scale(tmp_path):
-    with pytest.raises(PlotError, match="scale"):
-        emit_svg_plot([_rec(1, 0.0, 1.0), _rec(2, 1.0, 0.5)],
-                      str(tmp_path / "p.svg"), scale="loglog")
 
 
 # --- command-line entry ------------------------------------------------------------
@@ -318,15 +302,30 @@ def test_main_validation_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--out", "run#2.csv"), ("--svg", "a#b.svg"), ("--out", "run\n2.csv")])
+    ("--out", "run#2.csv"), ("--svg", "a#b.svg"), ("--out", "run\n2.csv"),
+    ("--out", "run.csv "), ("--svg", "plot.svg\t")])
 def test_main_path_a_config_document_would_cut_exits_1(tmp_path, capsys,
                                                        option, value):
-    # '#' opens a comment and a line break ends a value, so render_config
-    # and parse_config would not give such a path back
+    # '#' opens a comment, a line break ends a value and the blanks around
+    # a value are stripped, so render_config and parse_config would not
+    # give such a path back
     cfg_path = _small_config_text(tmp_path)
     assert main(["run", "--config", cfg_path, option, str(tmp_path / value)]) == 1
     key = "csv" if option == "--out" else "svg"
     assert f"{key} path" in capsys.readouterr().err
+
+
+def test_blank_edged_config_path_is_refused():
+    # render_config writes it verbatim and parse_config would strip it
+    with pytest.raises(ConfigError, match="csv path"):
+        _validate(RunConfig(csv=" run.csv "))
+
+
+def test_main_static_unwritable_snapshot_exits_1(tmp_path, capsys):
+    cfg_path = _small_config_text(tmp_path)
+    out = tmp_path / "missing" / "u.csv"
+    assert main(["static", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "error: cannot write snapshot" in capsys.readouterr().err
 
 
 def test_main_missing_config_exits_1(tmp_path, capsys):
@@ -388,13 +387,17 @@ def test_main_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_main_sweep_small_presets(tmp_path, monkeypatch, capsys):
+def _small_sweep(monkeypatch):
     import bergerdeck.cli as cli_mod
 
     small = RunConfig(J=15, K=7, l=0.5, sigma=0.2, P=1e-3, S=1e-5, width=1,
                       feedback=SqrtOdd(), dt=0.05, T=3.0, record_stride=1,
                       csv="unused.csv")
     monkeypatch.setattr(cli_mod, "preset", lambda name: small)
+
+
+def test_main_sweep_small_presets(tmp_path, monkeypatch, capsys):
+    _small_sweep(monkeypatch)
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "--out-dir", str(out_dir)]) == 0
     report = (out_dir / "decay_fits.csv").read_text().strip().split("\n")
@@ -403,3 +406,15 @@ def test_main_sweep_small_presets(tmp_path, monkeypatch, capsys):
     for name in ("fig6", "fig7", "fig8"):
         assert (out_dir / f"{name}_energy.csv").exists()
         assert (out_dir / f"{name}_energy.svg").exists()
+
+
+def test_main_sweep_unwritable_outputs_exit_1(tmp_path, monkeypatch, capsys):
+    _small_sweep(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["sweep", "--out-dir", str(blocker / "sweep")]) == 1
+    assert "error: cannot create sweep directory" in capsys.readouterr().err
+    out_dir = tmp_path / "sweep"
+    (out_dir / "decay_fits.csv").mkdir(parents=True)
+    assert main(["sweep", "--out-dir", str(out_dir)]) == 1
+    assert "error: cannot write fit report" in capsys.readouterr().err

@@ -19,7 +19,7 @@ RTOL = 1e-10
 @pytest.fixture(scope="module")
 def system():
     grid = build_grid(21, 11, 0.5)
-    ops = build_operators(grid, 0.2)
+    ops = build_operators(grid, 0.2, 0)
     matrix = sp.csc_matrix(sp.identity(grid.n_dof) + 0.5e-4 * ops.bilaplacian)
     rhs = np.random.default_rng(7).normal(size=grid.n_dof)
     return matrix, spla.splu(matrix), rhs
@@ -67,7 +67,7 @@ def test_missed_contract_raises_with_residual(system):
 
 def test_backward_scale_residual_at_most_plain():
     grid = build_grid(99, 49, 0.5)
-    A = build_operators(grid, 0.2).bilaplacian
+    A = build_operators(grid, 0.2, 0).bilaplacian
     lu = spla.splu(sp.csc_matrix(A))
     f = sin_load(grid, 50.0, 2)
     _, plain = refine_solve(lu, A, f, 1.0)
@@ -91,7 +91,7 @@ plates = dict(J=st.integers(min_value=2, max_value=15).map(lambda h: 2 * h + 1),
 def _plate(J, K, sigma, seed):
     grid = build_grid(J, K, math.pi / 4)
     rhs = np.random.default_rng(seed).normal(size=grid.n_dof)
-    return grid, build_operators(grid, sigma), rhs
+    return grid, build_operators(grid, sigma, 0), rhs
 
 
 def _gap(x, reference):

@@ -20,11 +20,11 @@ def _state(u_curr, u_prev, dt=0.1, step=1):
 
 @pytest.fixture(scope="module")
 def tiny_form(tiny_grid):
-    return PlateFormEvaluator(build_operators(tiny_grid, SIGMA))
+    return PlateFormEvaluator(build_operators(tiny_grid, SIGMA, 0))
 
 
 def _record(state, model, grid):
-    return PlateFormEvaluator(build_operators(grid, SIGMA)).record(state, model)
+    return PlateFormEvaluator(build_operators(grid, SIGMA, 0)).record(state, model)
 
 
 # --- the plate quadratic form ---------------------------------------------
@@ -36,7 +36,7 @@ def test_form_zero_field(tiny_grid, tiny_form):
 def test_form_of_sine_sheet(preset_grid):
     X, _ = preset_grid.meshgrid()
     U = np.sin(X).ravel()
-    value = PlateFormEvaluator(build_operators(preset_grid, SIGMA)).form_value(U)
+    value = PlateFormEvaluator(build_operators(preset_grid, SIGMA, 0)).form_value(U)
     assert value == pytest.approx(math.pi * preset_grid.l, rel=2e-2)
 
 
@@ -81,16 +81,14 @@ def test_form_shape_error(tiny_form):
 # --- energy records -----------------------------------------------------------
 
 def test_zero_state_record(tiny_grid):
-    model = make_model(tiny_grid, P=1e-3, S=1e-5,
-                       feedback=Linear(), damping_width=1)
+    model = make_model(P=1e-3, S=1e-5, feedback=Linear())
     z = np.zeros(tiny_grid.n_dof)
     rec = _record(_state(z, z), model, tiny_grid)
     assert rec.kinetic == rec.hstar == rec.px == rec.sx == rec.total == 0.0
 
 
 def test_constant_velocity_kinetic_energy(tiny_grid):
-    model = make_model(tiny_grid, P=0.0, S=0.0,
-                       feedback=Linear(), damping_width=0)
+    model = make_model(P=0.0, S=0.0, feedback=Linear())
     dt = 0.25
     u_prev = np.zeros(tiny_grid.n_dof)
     u_curr = dt * np.ones(tiny_grid.n_dof)  # V = 1 everywhere
@@ -99,8 +97,7 @@ def test_constant_velocity_kinetic_energy(tiny_grid):
 
 
 def test_record_decomposition(preset_grid):
-    model = make_model(preset_grid, P=1e-3, S=1e-5,
-                       feedback=Linear(), damping_width=5)
+    model = make_model(P=1e-3, S=1e-5, feedback=Linear())
     rng = np.random.default_rng(3)
     u_prev = rng.normal(size=preset_grid.n_dof)
     u_curr = u_prev + 0.01 * rng.normal(size=preset_grid.n_dof)
@@ -110,8 +107,7 @@ def test_record_decomposition(preset_grid):
 
 
 def test_step_zero_is_rejected(tiny_grid):
-    model = make_model(tiny_grid, P=0.0, S=0.0,
-                       feedback=Linear(), damping_width=0)
+    model = make_model(P=0.0, S=0.0, feedback=Linear())
     z = np.zeros(tiny_grid.n_dof)
     with pytest.raises(SequencingError, match="bootstrap"):
         _record(_state(z, z, step=0), model, tiny_grid)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from bergerdeck import (ExpDegenerate, Linear, Piecewise, Power, SqrtOdd,
                         berger_coefficient, build_grid, build_weights,
-                        classify_order, damping_mask, eval_feedback,
-                        feedback_from_name, feedback_name, make_model,
-                        stretch_integral)
+                        damping_mask, eval_feedback, feedback_from_name,
+                        feedback_name, make_model, stretch_integral)
 from bergerdeck.errors import ParameterError, ShapeError, SizingError
 
 ALL_KINDS = [Linear(), SqrtOdd(), Power(0.5), Power(3.0), Piecewise(),
@@ -63,20 +62,18 @@ def test_odd_symmetry_of_odd_kinds(s):
 
 
 def test_classify_linear():
-    info = classify_order(Linear())
-    assert (info.origin, info.infinity, info.regime) == (1.0, 1.0, "linear")
+    kind = Linear()
+    assert (kind.order_at_origin, kind.order_at_infinity) == (1.0, 1.0)
 
 
 def test_classify_power_half():
-    info = classify_order(Power(0.5))
-    assert (info.origin, info.infinity, info.regime) == (0.5, 0.5, "sublinear")
+    kind = Power(0.5)
+    assert (kind.order_at_origin, kind.order_at_infinity) == (0.5, 0.5)
 
 
 def test_classify_piecewise_with_slope_oracle():
     kind = Piecewise()
-    info = classify_order(kind)
-    assert info.origin == 3.0 and info.infinity == 3.0
-    assert info.regime == "superlinear"
+    assert (kind.order_at_origin, kind.order_at_infinity) == (3.0, 3.0)
 
     def loglog_slope(samples):
         g = eval_feedback(kind, samples)
@@ -179,10 +176,8 @@ def test_phi_shape_error(tiny_weights):
 
 # --- model construction -----------------------------------------------------------
 
-def test_make_model_validates(tiny_grid):
+def test_make_model_validates():
     with pytest.raises(ParameterError, match="S"):
-        make_model(tiny_grid, P=0.0, S=-1.0, feedback=Linear(),
-                   damping_width=0)
-    model = make_model(tiny_grid, P=1e-3, S=1e-5,
-                       feedback=SqrtOdd(), damping_width=1)
-    assert model.damping.a.shape == (tiny_grid.n_dof,)
+        make_model(P=0.0, S=-1.0, feedback=Linear())
+    model = make_model(P=1e-3, S=1e-5, feedback=SqrtOdd())
+    assert (model.P, model.S, model.feedback) == (1e-3, 1e-5, SqrtOdd())

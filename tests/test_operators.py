@@ -12,7 +12,7 @@ from bergerdeck.energy import cross_derivative_map, y_derivative_map
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (assemble_bilaplacian, assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, assemble_dy4, dump_triplets,
+                                  assemble_dy2, assemble_dy4,
                                   free_edge_shorthand_coefficients,
                                   free_edge_stencil_report, modal_blocks)
 from oracles import dense_bilaplacian, dense_dy2, dense_dy4, observed_orders
@@ -266,20 +266,6 @@ def test_csr_invariants(tiny_grid):
         for row in range(mat.shape[0]):
             cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
-
-
-def test_dump_triplets_format():
-    mat = assemble_d2_1d(3, 1.0)
-    text = dump_triplets(mat)
-    lines = text.strip().split("\n")
-    assert lines[0] == "0 0 -2"
-    assert lines[1] == "0 1 1"
-    assert len(lines) == 7
-    # 17-significant-digit rendering survives a round trip
-    mat2 = assemble_d2_1d(5, 0.3)
-    for line in dump_triplets(mat2).strip().split("\n"):
-        r, c, v = line.split()
-        assert float(v) == mat2[int(r), int(c)]
 
 
 # --- x sine modes ---------------------------------------------------------------

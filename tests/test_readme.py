@@ -1,7 +1,11 @@
-"""The README's library example runs as written, on a short horizon."""
+"""The README's library example runs as written, on a short horizon, and
+its command lines parse with the command-line parser."""
 
 import re
+import shlex
 from pathlib import Path
+
+from bergerdeck.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +21,16 @@ def test_library_use_example_runs(capsys):
     exec(compile(code.replace("T=30.0", "T=0.05"), str(README), "exec"), {})
     total, dissipated = map(float, capsys.readouterr().out.split())
     assert total > 0.0 and dissipated > 0.0
+
+
+def test_command_lines_parse():
+    _, found, section = README.read_text().partition("## Command line")
+    assert found, "README has no 'Command line' section"
+    block = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert block, "the 'Command line' section has no sh block"
+    lines = [shlex.split(line, comments=True)
+             for line in block.group(1).splitlines() if line.strip()]
+    assert lines and all(argv[0] == "bergerdeck" for argv in lines)
+    for argv in lines:
+        args = _build_parser().parse_args(argv[1:])  # parses, runs nothing
+        assert args.command == argv[1]

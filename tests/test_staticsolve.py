@@ -48,13 +48,13 @@ def test_oracle_even_in_y(oracle):
 # --- the discrete solver ------------------------------------------------------
 
 def test_zero_load_gives_zero(tiny_grid):
-    u = solve_static(np.zeros(tiny_grid.n_dof), build_operators(tiny_grid, 0.2))
+    u = solve_static(np.zeros(tiny_grid.n_dof), build_operators(tiny_grid, 0.2, 0))
     np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
 
 def test_linearity(tiny_grid):
     f = sin_load(tiny_grid, C, M)
-    ops = build_operators(tiny_grid, SIGMA)
+    ops = build_operators(tiny_grid, SIGMA, 0)
     u1 = solve_static(f, ops)
     u2 = solve_static(3.7 * f, ops)
     np.testing.assert_allclose(u2, 3.7 * u1, rtol=1e-10, atol=1e-13)
@@ -62,12 +62,12 @@ def test_linearity(tiny_grid):
 
 def test_shape_error(tiny_grid):
     with pytest.raises(ShapeError, match="length"):
-        solve_static(np.zeros(7), build_operators(tiny_grid, SIGMA))
+        solve_static(np.zeros(7), build_operators(tiny_grid, SIGMA, 0))
 
 
 def test_solution_even_in_y():
     grid = build_grid(75, 49, L)
-    ops = build_operators(grid, SIGMA)
+    ops = build_operators(grid, SIGMA, 0)
     u = solve_static(sin_load(grid, C, M), ops).reshape(grid.shape)
     np.testing.assert_allclose(u, u[::-1], atol=1e-9)
 
@@ -75,7 +75,7 @@ def test_solution_even_in_y():
 def _l2_error(J, K, oracle):
     grid = build_grid(J, K, L)
     weights = build_weights(grid)
-    u = solve_static(sin_load(grid, C, M), build_operators(grid, SIGMA))
+    u = solve_static(sin_load(grid, C, M), build_operators(grid, SIGMA, 0))
     diff = u - oracle.sample(grid)
     return math.sqrt(weights.integrate_cells(diff * diff))
 
