@@ -348,9 +348,9 @@ def _cmd_static(args) -> int:
 
 def _cmd_decay_fit(args) -> int:
     ts, es = read_energy_csv(args.csv)
-    fit = fit_decay(ts, es, tail_fraction=args.tail_fraction)
+    row = fit_report_row(args.label, fit_decay(ts, es, tail_fraction=args.tail_fraction))
     print("label,best_model,rate_or_exponent,r2_exp,r2_alg")
-    print(fit_report_row(args.label, fit))
+    print(row)
     return 0
 
 
@@ -360,23 +360,25 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create sweep directory {args.out_dir!r}: "
                           f"{exc}") from exc
-    rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
-    for name in ("fig6", "fig7", "fig8"):
-        cfg = preset(name)
-        result = run_config(cfg)
-        stem = os.path.join(args.out_dir, f"{name}_energy")
-        write_energy_csv(result.records, f"{stem}.csv")
-        ts = np.array([rec.t for rec in result.records])
-        es = np.array([rec.total for rec in result.records])
-        rows.append(fit_report_row(name, fit_decay(ts, es)))
-        emit_svg_plot(result.records, f"{stem}.svg",
-                      title=f"{name}: feedback {feedback_name(cfg.feedback)}")
+    # the report is opened before the first march, so an unwritable path
+    # fails at once; each preset's row is written as its march ends
     report = os.path.join(args.out_dir, "decay_fits.csv")
     try:
-        with open(report, "w", newline="") as handle:
-            handle.write("\n".join(rows) + "\n")
+        handle = open(report, "w", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write fit report {report!r}: {exc}") from exc
+    with handle:
+        handle.write("preset,best_model,rate_or_exponent,r2_exp,r2_alg\n")
+        for name in ("fig6", "fig7", "fig8"):
+            cfg = preset(name)
+            result = run_config(cfg)
+            stem = os.path.join(args.out_dir, f"{name}_energy")
+            write_energy_csv(result.records, f"{stem}.csv")
+            ts = np.array([rec.t for rec in result.records])
+            es = np.array([rec.total for rec in result.records])
+            handle.write(fit_report_row(name, fit_decay(ts, es)) + "\n")
+            emit_svg_plot(result.records, f"{stem}.svg",
+                          title=f"{name}: feedback {feedback_name(cfg.feedback)}")
     print(f"wrote {report}")
     return 0
 

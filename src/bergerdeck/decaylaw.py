@@ -350,7 +350,8 @@ def fit_decay(times: np.ndarray, energies: np.ndarray,
     exponential winner, ``rate_or_exponent`` is the positive decay rate k
     of E ~ exp(-k t); for an algebraic winner it is the signed exponent p
     of E ~ (t + 1)^p.  Nonpositive energies shrink the window to the
-    leading positive run.
+    leading positive run; a non-finite time or energy in the tail window
+    raises FitError.
     """
     t = np.asarray(times, dtype=float)
     e = np.asarray(energies, dtype=float)
@@ -361,6 +362,10 @@ def fit_decay(times: np.ndarray, energies: np.ndarray,
     start = len(t) - max(2, int(math.ceil(tail_fraction * len(t))))
     t_win = t[start:]
     e_win = e[start:]
+    bad = np.flatnonzero(~(np.isfinite(t_win) & np.isfinite(e_win)))
+    if bad.size:
+        raise FitError(f"non-finite time or energy in the tail window at point "
+                       f"{start + bad[0]}: t = {t_win[bad[0]]}, E = {e_win[bad[0]]}")
     bad = np.flatnonzero(e_win <= 0.0)
     if bad.size:
         t_win = t_win[:bad[0]]
@@ -380,6 +385,9 @@ def fit_decay(times: np.ndarray, energies: np.ndarray,
 
 
 def fit_report_row(label: str, fit: FitResult) -> str:
-    """One CSV row of the comparison report."""
+    """One CSV row of the comparison report; a label holding ',' or a line
+    break would split the row, so it raises FitError."""
+    if any(ch in label for ch in ",\r\n"):
+        raise FitError(f"report label {label!r} must not hold ',' or a line break")
     return (f"{label},{fit.best},{fit.rate_or_exponent:.17g},"
             f"{fit.r2_exp:.17g},{fit.r2_alg:.17g}")

@@ -47,14 +47,15 @@ class SqrtOdd:
 
 @dataclass(frozen=True)
 class Power:
-    """Odd power sign(s) |s|^exponent, exponent > 0."""
+    """Odd power sign(s) |s|^exponent, exponent finite and > 0."""
 
     exponent: float
     label = "power"
 
     def __post_init__(self):
-        if not self.exponent > 0:
-            raise ParameterError(f"power exponent must be positive, got {self.exponent}")
+        if not 0 < self.exponent < math.inf:
+            raise ParameterError(
+                f"power exponent must be positive and finite, got {self.exponent}")
 
     @property
     def order_at_origin(self) -> float:

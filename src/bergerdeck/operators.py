@@ -4,9 +4,10 @@ Short edges (x = 0, pi) are hinged: u = u_xx = 0.  Long edges (y = -l, l)
 are free: u_yy + sigma*u_xx = 0 and u_yyy + (2 - sigma)*u_xxy = 0.  Ghost
 nodes outside the rectangle are eliminated with those identities, which
 reshapes the stencils in the first two and last two block rows.  Every y
-block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p),
-and the DST-I in x turns the bilaplacian into one small block per sine mode
-(``modal_blocks``).
+block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p).
+The bilaplacian is one such level polynomial (``_bilaplacian_levels``): its
+Kronecker sum is the sparse operator, and the DST-I in x evaluates it at
+each sine mode's Lx eigenvalue, one small block per mode (``modal_blocks``).
 """
 
 from __future__ import annotations
@@ -169,47 +170,43 @@ def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
     return _finalize(_kron_sum(_dy4_levels(grid, sigma), blocks) / dy4)
 
 
+def _bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
+    """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p).  With
+    D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E, Lx^2), they are
+    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E."""
+    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
+    c0, c1, c2 = (c.tocsr() / dy4 for c in _dy4_levels(grid, sigma))
+    t, e = _dy2_levels(grid, sigma)
+    return [c0, c1 + 2.0 * t, sp.identity(grid.K + 2, format="csr") + c2 + 2.0 * e]
+
+
 def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
-    """Discrete bilaplacian D_x^4 + D_y^4 + 2 D_x^2 D_y^2 on the flat field.
+    """Discrete bilaplacian D_x^4 + D_y^4 + 2 D_x^2 D_y^2 on the flat field:
+    sum_p kron(P_p, Lx^p) over the levels of ``_bilaplacian_levels``.
 
     Block pentadiagonal of size n_dof x n_dof with block size J.  The cross
     term uses the boundary-modified y second derivative, so the free-edge
     identities enter every term consistently.
     """
-    eye_y = sp.identity(grid.K + 2, format="csr")
-    dx4 = sp.kron(eye_y, assemble_d4_hinged_1d(grid.J, grid.dx), format="csr")
-    dy4 = assemble_dy4(grid, sigma)
-    dxx = assemble_dxx(grid)
-    dy2 = assemble_dy2(grid, sigma)
-    return _finalize(dx4 + dy4 + 2.0 * (dxx @ dy2))
+    lx = assemble_d2_1d(grid.J, grid.dx)
+    blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
+    return _finalize(_kron_sum(_bilaplacian_levels(grid, sigma), blocks))
 
 
 def modal_blocks(grid: Grid, sigma: float) -> np.ndarray:
     """The bilaplacian in x sine modes: shape (J, K+2, K+2), block m - 1
     acting on the y levels of mode m.
 
-    Every y block of the bilaplacian is a polynomial in Lx.  The orthonormal
-    DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2 sin^2(m pi /
-    (2(J+1))) on mode m, so with mu = mu_m block m is
-
-        mu^2 I + (C_0 + mu C_1 + mu^2 C_2) / dy^4 + 2 mu T + 2 mu^2 E
-
-    (D_x^4 = Lx^2, the D_y^4 level factors C_p, the D_y^2 factors T, E).
+    The orthonormal DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2
+    sin^2(m pi / (2(J+1))) on mode m, so block m is the level polynomial
+    of ``_bilaplacian_levels`` at mu = mu_m: P_0 + mu P_1 + mu^2 P_2.
     """
-    ny = grid.K + 2
-    c0, c1, c2 = (c.toarray() for c in _dy4_levels(grid, sigma))
-    t, e = (c.toarray() for c in _dy2_levels(grid, sigma))
+    p0, p1, p2 = (p.toarray() for p in _bilaplacian_levels(grid, sigma))
     m = np.arange(1, grid.J + 1)[:, None, None]
     mu = -4.0 / (grid.dx * grid.dx) * np.sin(m * np.pi / (2.0 * (grid.J + 1))) ** 2
-    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
-    # summed in place, in the order written above: one (J, ny, ny) temporary
-    blocks = mu * c1
-    blocks += c0
-    blocks += mu * mu * c2
-    blocks /= dy4
-    blocks += mu * mu * np.eye(ny)
-    blocks += 2.0 * mu * t
-    blocks += 2.0 * mu * mu * e
+    blocks = mu * p1
+    blocks += p0
+    blocks += mu * mu * p2
     return blocks
 
 

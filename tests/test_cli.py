@@ -354,6 +354,40 @@ def test_main_decay_fit_subcommand(tmp_path, capsys):
     assert "demo,exponential" in out
 
 
+def _fit_csv(tmp_path, energy=lambda t: 3.0 * math.exp(-2.0 * t)):
+    csv = tmp_path / "series.csv"
+    t = np.linspace(0.0, 10.0, 60)
+    write_energy_csv([_rec(i + 1, float(ti), float(energy(ti)))
+                      for i, ti in enumerate(t)], str(csv))
+    return str(csv)
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb"])
+def test_main_decay_fit_splitting_label_exits_1(tmp_path, capsys, label):
+    assert main(["decay-fit", "--csv", _fit_csv(tmp_path), "--label", label]) == 1
+    captured = capsys.readouterr()
+    assert "error: report label" in captured.err
+    assert captured.out == ""
+
+
+def test_main_decay_fit_non_finite_energy_exits_1(tmp_path, capsys):
+    csv = _fit_csv(tmp_path, lambda t: math.nan if t > 9.0 else math.exp(-t))
+    assert main(["decay-fit", "--csv", csv]) == 1
+    captured = capsys.readouterr()
+    assert "error: non-finite time or energy" in captured.err
+    assert captured.out == ""
+
+
+def test_main_non_finite_power_exponent_exits_1(tmp_path, capsys):
+    cfg_path = _small_config_text(tmp_path)
+    with open(cfg_path, "a") as handle:
+        handle.write("[damping]\nfeedback = power:inf\n")
+    assert main(["run", "--config", cfg_path]) == 1
+    assert "power exponent must be positive and finite, got inf" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_main_lambda1_small_grid(tmp_path, capsys):
     cfg_path = _small_config_text(tmp_path)
     assert main(["lambda1", "--config", cfg_path]) == 0
@@ -418,3 +452,4 @@ def test_main_sweep_unwritable_outputs_exit_1(tmp_path, monkeypatch, capsys):
     (out_dir / "decay_fits.csv").mkdir(parents=True)
     assert main(["sweep", "--out-dir", str(out_dir)]) == 1
     assert "error: cannot write fit report" in capsys.readouterr().err
+    assert not (out_dir / "fig6_energy.csv").exists()

@@ -255,6 +255,33 @@ def test_fit_needs_ten_points():
         fit_decay(t, e)
 
 
+@pytest.mark.parametrize("t_bad, e_bad", [
+    (None, math.nan), (None, math.inf), (math.nan, None), (math.inf, None)])
+def test_fit_refuses_non_finite_tail(t_bad, e_bad):
+    t = np.linspace(0.0, 10.0, 40)
+    e = np.exp(-t)
+    if t_bad is not None:
+        t[30] = t_bad
+    if e_bad is not None:
+        e[30] = e_bad
+    with pytest.raises(FitError, match="non-finite time or energy .* point 30"):
+        fit_decay(t, e)
+
+
+def test_fit_ignores_non_finite_before_tail():
+    t = np.linspace(0.0, 10.0, 40)
+    e = np.exp(-t)
+    e[5] = math.nan  # tail window is [20:]
+    assert fit_decay(t, e).best == "exponential"
+
+
+@pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb"])
+def test_fit_report_row_refuses_splitting_label(label):
+    fit = fit_decay(np.linspace(0.0, 10.0, 50), np.exp(-np.linspace(0.0, 10.0, 50)))
+    with pytest.raises(FitError, match="must not hold ','"):
+        fit_report_row(label, fit)
+
+
 def test_fit_report_row_format():
     t = np.linspace(0.0, 10.0, 50)
     fit = fit_decay(t, np.exp(-t))

@@ -61,6 +61,12 @@ def test_odd_symmetry_of_odd_kinds(s):
         assert eval_feedback(kind, -s) == -eval_feedback(kind, s)
 
 
+@pytest.mark.parametrize("exponent", [0.0, -1.0, math.inf, math.nan])
+def test_power_refuses_bad_exponent(exponent):
+    with pytest.raises(ParameterError, match="positive and finite"):
+        Power(exponent)
+
+
 def test_classify_linear():
     kind = Linear()
     assert (kind.order_at_origin, kind.order_at_infinity) == (1.0, 1.0)
