@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.fft
 
@@ -12,28 +14,52 @@ RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
 
 class ModalSolver:
     """Solves M x = b for an M that the orthonormal DST-I along x splits
-    into one (K+2) x (K+2) block per sine mode (Lynch, Rice & Thomas 1964).
+    into one (K+2) x (K+2) block per sine mode (Lynch, Rice & Thomas 1964),
+    and that the level flip F: k -> K+1-k splits again into an even and an
+    odd half per mode (``operators.modal_blocks``).
 
-    ``blocks`` has shape (J, K+2, K+2) and the field is (K+2, J) flattened.
-    With ``invert`` the blocks are inverted once and every solve is a
-    batched matrix-vector product; without it each solve factors them
-    again, which is cheaper for a single solve.
+    ``halves`` is the pair (even, odd) of shapes (J, e, e) and (J, h, h),
+    h = (K+2) // 2 and e = K+2 - h; the field is (K+2, J) flattened.  A
+    solve folds the right-hand side into the top levels of b + F b and
+    b - F b, transforms both with one DST, solves each half mode by mode
+    and unfolds.  With ``invert`` the halves are inverted once and every
+    solve is a batched matrix-vector product per half; without it each
+    solve factors them again, which is cheaper for a single solve.
     """
 
-    def __init__(self, blocks: np.ndarray, invert: bool = True):
-        self._shape = (blocks.shape[1], blocks.shape[0])
-        self._inverses = np.linalg.inv(blocks) if invert else None
-        self._blocks = None if invert else blocks
+    def __init__(self, halves: tuple[np.ndarray, np.ndarray], invert: bool = True):
+        even, odd = halves
+        self._h = odd.shape[1]
+        self._shape = (even.shape[1] + self._h, even.shape[0])
+        self._invert = invert
+        # the even and odd parts are (b +- F b) / 2; the exact factor 1/2
+        # rides on the inverses, or on the solutions without them
+        self._halves = tuple(0.5 * np.linalg.inv(half) for half in halves) \
+            if invert else halves
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        modes = scipy.fft.dst(rhs.reshape(self._shape), type=1, axis=1,
-                              norm="ortho").T[:, :, None]
-        if self._inverses is None:
-            modes = np.linalg.solve(self._blocks, modes)
+        h = self._h
+        e = self._shape[0] - h
+        b = rhs.reshape(self._shape)
+        folded = np.concatenate((b[:e] + b[::-1][:e], b[:h] - b[::-1][:h]))
+        modes = scipy.fft.dst(folded, type=1, axis=1, norm="ortho").T[:, :, None]
+        parts = (modes[:, :e], modes[:, e:])
+        if self._invert:
+            parts = [np.matmul(half, part) for half, part in zip(self._halves, parts)]
         else:
-            modes = np.matmul(self._inverses, modes)
-        return scipy.fft.idst(modes[:, :, 0].T, type=1, axis=1,
-                              norm="ortho").ravel()
+            parts = [0.5 * np.linalg.solve(half, part)
+                     for half, part in zip(self._halves, parts)]
+        solved = scipy.fft.idst(np.concatenate(parts, axis=1)[:, :, 0].T, type=1,
+                                axis=1, norm="ortho")
+        even, odd = solved[:e], solved[e:]
+        # even[h:] is the middle level of an odd K+2, empty for an even one
+        return np.concatenate((even[:h] + odd, even[h:], (even[:h] - odd)[::-1])).ravel()
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm by a fixed-order ``np.einsum`` sum; ``np.linalg.norm``
+    goes through threaded BLAS, whose bits change with the thread count."""
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
@@ -52,14 +78,14 @@ def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
     rtol * ||b||, which the stiff fourth-order operator reaches on fine
     grids.
     """
-    rhs_norm = max(float(np.linalg.norm(rhs)), 1e-300)
+    rhs_norm = max(_norm(rhs), 1e-300)
 
     def residual_of(x: np.ndarray) -> tuple[np.ndarray, float]:
         residual_vec = rhs - matrix @ x
         scale = rhs_norm
         if backward_scale:
-            scale = max(rhs_norm, float(np.linalg.norm(abs(matrix) @ np.abs(x))))
-        return residual_vec, float(np.linalg.norm(residual_vec)) / scale
+            scale = max(rhs_norm, _norm(abs(matrix) @ np.abs(x)))
+        return residual_vec, _norm(residual_vec) / scale
 
     x = solver.solve(rhs)
     residual_vec, residual = residual_of(x)

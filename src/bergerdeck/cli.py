@@ -198,9 +198,16 @@ def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
 
 
 def read_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(t, E_total) columns of an energy CSV."""
+    """(t, E_total) columns of an energy CSV; a file whose first line is
+    not ``CSV_HEADER`` (an empty one too) raises ConfigError."""
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True)
+        with open(path, newline="") as handle:
+            header = handle.readline().rstrip("\r\n")
+            if header != CSV_HEADER:
+                raise ConfigError(f"{path!r} is not an energy CSV: its first line "
+                                  f"is {header!r}, expected {CSV_HEADER!r}")
+            handle.seek(0)
+            data = np.genfromtxt(handle, delimiter=",", names=True)
     except OSError as exc:
         raise ConfigError(f"cannot read energy CSV {path!r}: {exc}") from exc
     return np.atleast_1d(data["t"]), np.atleast_1d(data["E_total"])

@@ -96,12 +96,16 @@ class QuadratureWeights:
         return float(np.dot(self.wx, values))
 
     def integrate_cells(self, values: np.ndarray) -> float:
-        """Integrate a flattened per-unknown field over the rectangle."""
+        """Integrate a flattened per-unknown field over the rectangle.
+
+        A fixed-order ``np.einsum`` sum: ``np.dot`` goes through threaded
+        BLAS at this length, and its bits change with the thread count.
+        """
         if values.shape != self.cell.shape:
             raise SizingError(
                 f"expected {self.cell.shape[0]} cell values, got {values.shape}"
             )
-        return float(np.dot(self.cell, values))
+        return float(np.einsum("i,i->", self.cell, values))
 
 
 def build_weights(grid: Grid) -> QuadratureWeights:

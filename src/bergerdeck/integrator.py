@@ -15,8 +15,10 @@ run is non-increasing after the start-up step.
 The orthonormal DST-I along x diagonalizes the hinged x second difference,
 and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
 J independent (K+2) x (K+2) systems, one per x sine mode (Lynch, Rice &
-Thomas 1964).  Their inverses are formed once per run; each solve is still
-checked against the residual contract on the sparse matrix.
+Thomas 1964).  The plate is symmetric under y -> -y, so each of them
+splits again into an even and an odd half of about (K+2)/2 levels.  The
+halves' inverses are formed once per run; each solve is still checked
+against the residual contract on the sparse matrix.
 """
 
 from __future__ import annotations
@@ -73,11 +75,13 @@ def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet
 
 
 class FactorizedSystem:
-    """M = I + dt^2/2 * ops.bilaplacian, solved in x sine modes.
+    """M = I + dt^2/2 * ops.bilaplacian, solved in x sine modes and y parity.
 
     The orthonormal DST-I along x splits M into one (K+2) x (K+2) block per
-    mode (``operators.modal_blocks`` of ``ops``); the blocks are inverted
-    once, so a solve is two transforms and a batched matrix-vector product.
+    mode, and the plate's y -> -y symmetry splits each block into an even
+    and an odd half (``operators.modal_blocks`` of ``ops``).  The halves are
+    inverted once, so a solve is a fold into even and odd parts, two
+    transforms, one batched matrix-vector product per half and an unfold.
     Every solve is checked against the relative residual contract
     ``_direct.RTOL`` on the sparse M; a miss raises SolveError.  ``ops``
     and ``dt`` stay on the system, so ``step`` and ``bootstrap`` read them
@@ -91,10 +95,11 @@ class FactorizedSystem:
         self.dt = dt
         self.matrix = sp.identity(ops.grid.n_dof, format="csr") \
             + (dt * dt / 2.0) * ops.bilaplacian
-        blocks = modal_blocks(ops.grid, ops.sigma)
-        blocks *= dt * dt / 2.0
-        blocks += np.eye(ops.grid.K + 2)
-        self._solver = ModalSolver(blocks)
+        halves = modal_blocks(ops.grid, ops.sigma)
+        for half in halves:
+            half *= dt * dt / 2.0
+            half += np.eye(half.shape[1])
+        self._solver = ModalSolver(halves)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, _ = refine_solve(self._solver, self.matrix, rhs)

@@ -189,7 +189,10 @@ def stretch_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
 
     Hinged values at j = 0, J+1 are exact zeros inside the stencil.  The
     level sums are combined with math.fsum, so the result is invariant under
-    any reordering of the y-levels (exact reflection symmetry).
+    any reordering of the y-levels (exact reflection symmetry).  One batched
+    matmul of row against column takes every level's dot product with the
+    same bits as ``np.dot`` on that level; ``np.einsum`` sums in another
+    order.
     """
     grid = weights.grid
     if U.shape != (grid.n_dof,):
@@ -201,7 +204,8 @@ def stretch_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
     ux[:, 0] = u2[:, 1] * inv2dx
     ux[:, -1] = -u2[:, -2] * inv2dx
     cell2 = weights.cell.reshape(grid.shape)
-    return math.fsum(float(np.dot(cell2[k], ux[k] * ux[k])) for k in range(grid.K + 2))
+    sq = ux * ux
+    return math.fsum(np.matmul(cell2[:, None, :], sq[:, :, None]).ravel())
 
 
 def berger_coefficient(U: np.ndarray, weights: QuadratureWeights,

@@ -20,10 +20,12 @@ def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:
     """Solve ``ops.bilaplacian U = f`` for a per-node load vector f.
 
     The orthonormal DST-I along x splits the operator into one (K+2) x
-    (K+2) block per sine mode (``operators.modal_blocks`` of ``ops``); each
-    block is solved directly, and the solve is checked against the residual
-    contract ``_direct.RTOL`` on the sparse operator; a miss raises
-    SolveError carrying the achieved residual as a conditioning diagnostic.
+    (K+2) block per sine mode, and the plate's y -> -y symmetry splits each
+    block into an even and an odd half (``operators.modal_blocks`` of
+    ``ops``); each half is solved directly, and the solve is checked
+    against the residual contract ``_direct.RTOL`` on the sparse operator; a
+    miss raises SolveError carrying the achieved residual as a conditioning
+    diagnostic.
     The contract is measured on the normwise backward-error scale: the
     operator carries 1/dx^4-sized entries, so on fine grids no float64
     vector satisfies ||A U - F|| <= RTOL ||F||.

@@ -138,6 +138,18 @@ def dense_stretch(U: np.ndarray, J: int, K: int, l: float) -> float:
     return float(w @ (ux.ravel() ** 2))
 
 
+def level_dot_stretch(U: np.ndarray, weights) -> float:
+    """Per-level reference for ``model.stretch_integral``: one ``np.dot``
+    of the cell weights against u_x^2 on each level, then ``math.fsum``."""
+    grid = weights.grid
+    u2 = U.reshape(grid.shape)
+    padded = np.zeros((grid.K + 2, grid.J + 2))
+    padded[:, 1:-1] = u2
+    ux = (padded[:, 2:] - padded[:, :-2]) * (1.0 / (2.0 * grid.dx))
+    cell2 = weights.cell.reshape(grid.shape)
+    return math.fsum(float(np.dot(cell2[k], ux[k] * ux[k])) for k in range(grid.K + 2))
+
+
 def dense_step(u_curr: np.ndarray, u_prev: np.ndarray, J: int, K: int,
                l: float, sigma: float, P: float, S: float, dt: float,
                a: np.ndarray, g) -> np.ndarray:

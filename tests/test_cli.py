@@ -207,6 +207,23 @@ def test_pipeline_deterministic_bytes(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_csv_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    # the preset plate, whose 15,049-value reductions are long enough for
+    # OpenBLAS to split a dot product across threads
+    src = str(Path(bergerdeck.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergerdeck.cli", "run", "--preset", "fig6",
+             "--T", "0.5", "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 # --- SVG chart ----------------------------------------------------------------------
 
 def test_svg_two_points(tmp_path):
@@ -375,6 +392,19 @@ def test_main_decay_fit_non_finite_energy_exits_1(tmp_path, capsys):
     assert main(["decay-fit", "--csv", csv]) == 1
     captured = capsys.readouterr()
     assert "error: non-finite time or energy" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n"])
+def test_main_decay_fit_not_an_energy_csv_exits_1(tmp_path, capsys, text):
+    # an empty file and a file of another header are refused by name
+    csv = tmp_path / "other.csv"
+    csv.write_text(text)
+    with pytest.raises(ConfigError, match="other.csv.*not an energy CSV"):
+        read_energy_csv(str(csv))
+    assert main(["decay-fit", "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {str(csv)!r} is not an energy CSV" in captured.err
     assert captured.out == ""
 
 

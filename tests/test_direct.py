@@ -12,6 +12,7 @@ from bergerdeck._direct import ModalSolver, refine_solve
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
 from bergerdeck.operators import modal_blocks
+from oracles import dense_bilaplacian
 
 RTOL = 1e-10
 
@@ -29,7 +30,15 @@ def test_residual_meets_contract(system):
     matrix, lu, rhs = system
     x, residual = refine_solve(lu, matrix, rhs, RTOL)
     assert residual <= RTOL
-    assert residual == np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
+    # the norms are fixed-order einsum sums, so their bits do not depend on
+    # the BLAS thread count; they agree with np.linalg.norm to rounding
+    def norm(v):
+        return math.sqrt(np.einsum("i,i->", v, v))
+
+    r = rhs - matrix @ x
+    assert residual == norm(r) / norm(rhs)
+    assert residual == pytest.approx(np.linalg.norm(r) / np.linalg.norm(rhs),
+                                     rel=1e-13)
 
 
 class _CountingLU:
@@ -94,6 +103,12 @@ def _plate(J, K, sigma, seed):
     return grid, build_operators(grid, sigma, 0), rhs
 
 
+def _shifted(grid, sigma, dt):
+    """The halves of I + dt^2/2 B."""
+    return tuple((dt * dt / 2.0) * half + np.eye(half.shape[1])
+                 for half in modal_blocks(grid, sigma))
+
+
 def _gap(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
@@ -116,9 +131,33 @@ def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
     grid, ops, rhs = _plate(J, K, sigma, seed)
     B = ops.bilaplacian
     M = sp.identity(grid.n_dof, format="csr") + (dt * dt / 2.0) * B
-    blocks = (dt * dt / 2.0) * modal_blocks(grid, sigma) + np.eye(K + 2)
-    _, residual = refine_solve(ModalSolver(blocks), M, rhs, RTOL)
+    _, residual = refine_solve(ModalSolver(_shifted(grid, sigma, dt)), M, rhs, RTOL)
     assert residual <= RTOL
     solver = ModalSolver(modal_blocks(grid, sigma), invert=False)
     _, residual = refine_solve(solver, B, rhs, RTOL, backward_scale=True)
     assert residual <= RTOL
+
+
+# --- the parity split on both kinds of level count -----------------------------
+# K+2 odd puts the middle level in the even half (e = h + 1); K+2 even
+# gives two halves of (K+2)/2 levels.
+
+@pytest.mark.parametrize("invert", [True, False], ids=["inverted", "factored"])
+@pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
+@settings(max_examples=15, deadline=None)
+@given(J=plates["J"], half_k=st.integers(min_value=2, max_value=7),
+       sigma=plates["sigma"], dt=plates["dt"], seed=plates["seed"])
+def test_parity_solver_matches_splu_and_dense(odd_levels, invert, J, half_k,
+                                              sigma, dt, seed):
+    K = 2 * half_k + (1 if odd_levels else 0)
+    grid, ops, rhs = _plate(J, K, sigma, seed)
+    dense = dense_bilaplacian(J, K, grid.l, sigma)
+    cases = ((ops.bilaplacian, dense, modal_blocks(grid, sigma)),
+             (sp.identity(grid.n_dof) + (dt * dt / 2.0) * ops.bilaplacian,
+              np.eye(grid.n_dof) + (dt * dt / 2.0) * dense,
+              _shifted(grid, sigma, dt)))
+    for matrix, dense_matrix, halves in cases:
+        assert (halves[0].shape[1] - halves[1].shape[1] == 1) == odd_levels
+        x = ModalSolver(halves, invert=invert).solve(rhs)
+        assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
+        assert _gap(x, np.linalg.solve(dense_matrix, rhs)) <= 1e-10

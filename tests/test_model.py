@@ -10,6 +10,7 @@ from bergerdeck import (ExpDegenerate, Linear, Piecewise, Power, SqrtOdd,
                         damping_mask, eval_feedback, feedback_from_name,
                         feedback_name, make_model, stretch_integral)
 from bergerdeck.errors import ParameterError, ShapeError, SizingError
+from oracles import level_dot_stretch
 
 ALL_KINDS = [Linear(), SqrtOdd(), Power(0.5), Power(3.0), Piecewise(),
              ExpDegenerate()]
@@ -173,6 +174,18 @@ def test_phi_reflection_invariance(tiny_grid, tiny_weights):
     q1 = stretch_integral(U, tiny_weights)
     q2 = stretch_integral(reflected, tiny_weights)
     assert q1 == q2  # exact, by order-independent level summation
+
+
+@pytest.mark.parametrize("grid_name", ["tiny_grid", "preset_grid"])
+def test_stretch_integral_matches_level_dots(grid_name, request):
+    # the batched row-by-column product carries np.dot's bits on every level
+    grid = request.getfixturevalue(grid_name)
+    weights = build_weights(grid)
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e3):
+        for _ in range(20):
+            U = scale * rng.normal(size=grid.n_dof)
+            assert stretch_integral(U, weights) == level_dot_stretch(U, weights)
 
 
 def test_phi_shape_error(tiny_weights):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from bergerdeck import build_grid
 from bergerdeck.energy import cross_derivative_map, y_derivative_map
 from bergerdeck.errors import ParameterError, SizingError
-from bergerdeck.operators import (assemble_bilaplacian, assemble_d2_1d,
+from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
+                                  assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
                                   assemble_dy2, assemble_dy4,
                                   free_edge_shorthand_coefficients,
@@ -277,20 +278,39 @@ def _dst(field):
 
 @settings(max_examples=25, deadline=None)
 @given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
-       K=st.integers(min_value=1, max_value=15).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=3, max_value=31),
        sigma=st.floats(min_value=1e-3, max_value=0.499),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_modal_blocks_reproduce_bilaplacian(J, K, sigma, seed):
-    # DST(B u) equals the per-mode blocks applied to DST(u)
+    # the top levels of the even and odd parts (v +- Fv)/2 of DST(B u), F
+    # the level flip, equal the halves applied to those of DST(u)
     grid = build_grid(J, K, math.pi / 4)
-    blocks = modal_blocks(grid, sigma)
-    assert blocks.shape == (J, K + 2, K + 2)
+    even, odd = modal_blocks(grid, sigma)
+    h = (K + 2) // 2
+    assert even.shape == (J, K + 2 - h, K + 2 - h) and odd.shape == (J, h, h)
+
+    def fold(v):
+        return (v + v[::-1])[:K + 2 - h] / 2.0, (v - v[::-1])[:h] / 2.0
+
     u = np.random.default_rng(seed).normal(size=grid.shape)
-    lhs = _dst((assemble_bilaplacian(grid, sigma) @ u.ravel()).reshape(grid.shape))
-    modes = _dst(u)
-    rhs = np.einsum("mkl,lm->km", blocks, modes)
-    scale = np.abs(blocks).max() * np.abs(modes).max()
-    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+    lhs = fold(_dst((assemble_bilaplacian(grid, sigma) @ u.ravel()).reshape(grid.shape)))
+    modes = fold(_dst(u))
+    for side, half, part in zip(lhs, (even, odd), modes):
+        rhs = np.einsum("mkl,lm->km", half, part)
+        scale = np.abs(half).max() * np.abs(part).max()
+        assert np.abs(side - rhs).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=3, max_value=31),
+       sigma=st.floats(min_value=1e-3, max_value=0.499))
+def test_bilaplacian_levels_commute_with_level_flip(J, K, sigma):
+    # the parity split of modal_blocks rests on F P F == P, bit for bit
+    grid = build_grid(J, K, math.pi / 4)
+    for level in _bilaplacian_levels(grid, sigma):
+        dense = level.toarray()
+        np.testing.assert_array_equal(dense[::-1, ::-1], dense)
 
 
 @settings(max_examples=25, deadline=None)
