@@ -66,7 +66,9 @@ def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
                  backward_scale: bool = False) -> tuple[np.ndarray, float]:
     """Solve with ``solver`` (anything with a ``solve(rhs)`` method for
     ``matrix``) and check the relative residual against ``rtol``, with one
-    correction sweep if the first solve misses.
+    correction sweep if the first solve misses.  ``matrix`` is anything
+    whose ``@`` applies the system; the last x it is applied to is the x
+    returned.
 
     Near the float64 floor (the preset plate at dt >= 0.15) one correction
     sweep can bring a residual just above ``rtol`` under it; further sweeps

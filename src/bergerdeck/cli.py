@@ -407,12 +407,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="config document path")
         p.add_argument("--preset", choices=PRESET_NAMES, help="named preset")
-        p.add_argument("--dt", type=float, help="time step override")
-        p.add_argument("--T", type=float, help="final time override")
 
     p_run = sub.add_parser("run", exit_on_error=False,
                            help="time-march an experiment and write energy CSV")
     add_common(p_run)
+    p_run.add_argument("--dt", type=float, help="time step override")
+    p_run.add_argument("--T", type=float, help="final time override")
     p_run.add_argument("--out", help="energy CSV path override")
     p_run.add_argument("--svg", help="also render an SVG energy chart")
     p_run.set_defaults(func=_cmd_run)
@@ -446,9 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # parse_args would exit 2 on an unknown option despite exit_on_error
+        args, unknown = parser.parse_known_args(argv)
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if unknown:
+        print(f"error: unrecognized arguments: {' '.join(unknown)}", file=sys.stderr)
         return 1
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)

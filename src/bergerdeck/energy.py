@@ -28,7 +28,7 @@ from .operators import (SparseOperator, _band, _finalize, _kron_sum,
                         _level_matrices, assemble_dxx, assemble_dy2)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .integrator import OperatorSet, SimState
+    from .integrator import LevelTerms, OperatorSet, SimState
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,12 @@ class PlateFormEvaluator:
         self.syy = assemble_dy2(ops.grid, ops.sigma)
         self.sxy = cross_derivative_map(ops.grid)
 
-    def form_value(self, U: np.ndarray) -> float:
-        """Quadrature of F(u,u) over the rectangle."""
+    def form_value(self, U: np.ndarray, uxx: np.ndarray | None = None) -> float:
+        """Quadrature of F(u,u) over the rectangle; ``uxx`` is ``sxx @ U``
+        if the caller has it already."""
         if U.shape != (self.grid.n_dof,):
             raise ShapeError(f"expected state of length {self.grid.n_dof}, got {U.shape}")
-        xx = self.sxx @ U
+        xx = self.sxx @ U if uxx is None else uxx
         yy = self.syy @ U
         xy = self.sxy @ U
         density = xx * xx + yy * yy + 2.0 * self.sigma * (xx * yy) \
@@ -98,14 +99,21 @@ class PlateFormEvaluator:
         return self.weights.integrate_cells(density)
 
     def record(self, state: "SimState", model: ModelConfig,
-               dissipated_cum: float = 0.0) -> EnergyRecord:
+               dissipated_cum: float = 0.0,
+               terms: "LevelTerms | None" = None) -> EnergyRecord:
+        """The energy of ``state``; ``terms`` are the stepper's terms of its
+        newest level, whose velocity, u_xx and stretch integral are read
+        instead of formed again."""
         if state.step_index < 1:
             raise SequencingError(
                 "energy needs two field levels; call after the bootstrap step")
-        v = state.velocity()
+        u = state.u_curr
+        if terms is None:
+            v, uxx, q = state.velocity(), self.sxx @ u, stretch_integral(u, self.weights)
+        else:
+            v, uxx, q = terms.velocity, terms.uxx, terms.q
         kinetic = 0.5 * self.weights.integrate_cells(v * v)
-        hstar = 0.5 * self.form_value(state.u_curr)
-        q = stretch_integral(state.u_curr, self.weights)
+        hstar = 0.5 * self.form_value(u, uxx)
         px = -0.5 * model.P * q
         sx = 0.25 * model.S * q * q
         total = kinetic + hstar + px + sx

@@ -18,7 +18,14 @@ J independent (K+2) x (K+2) systems, one per x sine mode (Lynch, Rice &
 Thomas 1964).  The plate is symmetric under y -> -y, so each of them
 splits again into an even and an odd half of about (K+2)/2 levels.  The
 halves' inverses are formed once per run; each solve is still checked
-against the residual contract on the sparse matrix.
+against the residual contract, with M x formed as x + dt^2/2 (B x) from the
+sparse B, and that B x is the next step's B U^n.
+
+The feedback g is evaluated on the collar's nodes only
+(``DampingField.nodes``), since a is zero off the collar.  The terms of a
+field level -- B U^n, D_x^2 U^n, the stretch integral, V^n and a g(V^n) --
+are formed once (``LevelTerms``) and read by both the step off it and its
+energy record.
 """
 
 from __future__ import annotations
@@ -26,14 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import model as _model
 from ._direct import ModalSolver, refine_solve
 from .energy import EnergyRecord, PlateFormEvaluator
 from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
-from .model import (DampingField, ModelConfig, berger_coefficient,
-                    damping_mask, eval_feedback)
+from .model import DampingField, ModelConfig, damping_mask, eval_feedback
 from .operators import (SparseOperator, assemble_bilaplacian, assemble_dxx,
                         modal_blocks)
 
@@ -45,6 +51,9 @@ class SimState:
     t: float
     step_index: int
     dt: float
+    # B u_curr as the residual check of the solve that produced u_curr
+    # formed it, or None
+    bu: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def velocity(self) -> np.ndarray:
         """Backward-difference velocity (u_curr - u_prev)/dt."""
@@ -83,9 +92,11 @@ class FactorizedSystem:
     inverted once, so a solve is a fold into even and odd parts, two
     transforms, one batched matrix-vector product per half and an unfold.
     Every solve is checked against the relative residual contract
-    ``_direct.RTOL`` on the sparse M; a miss raises SolveError.  ``ops``
-    and ``dt`` stay on the system, so ``step`` and ``bootstrap`` read them
-    from here.
+    ``_direct.RTOL``, with M x formed as x + dt^2/2 (B x) from the sparse B;
+    a miss raises SolveError.  ``solve`` returns that B x with x, so the
+    next step reads B U^n instead of forming it; after a correction sweep it
+    is formed again on the corrected x.  ``ops`` and ``dt`` stay on the
+    system, so ``step`` and ``bootstrap`` read them from here.
     """
 
     def __init__(self, ops: OperatorSet, dt: float):
@@ -93,31 +104,74 @@ class FactorizedSystem:
             raise ShapeError(f"time step must be positive, got {dt}")
         self.ops = ops
         self.dt = dt
-        self.matrix = sp.identity(ops.grid.n_dof, format="csr") \
-            + (dt * dt / 2.0) * ops.bilaplacian
         halves = modal_blocks(ops.grid, ops.sigma)
         for half in halves:
             half *= dt * dt / 2.0
             half += np.eye(half.shape[1])
         self._solver = ModalSolver(halves)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = refine_solve(self._solver, self.matrix, rhs)
-        return x
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x with M x = rhs, and B x."""
+        check = _ShiftedProduct(self.ops.bilaplacian, self.dt * self.dt / 2.0)
+        x, _ = refine_solve(self._solver, check, rhs)
+        return x, check.bx
+
+
+class _ShiftedProduct:
+    """M x = x + h (B x) for ``refine_solve``'s residual check, keeping the
+    last B x; ``refine_solve`` checks the x it returns last."""
+
+    def __init__(self, bilaplacian: SparseOperator, h: float):
+        self._bilaplacian, self._h = bilaplacian, h
+        self.bx: np.ndarray | None = None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        self.bx = self._bilaplacian @ x
+        return x + self._h * self.bx
+
+
+@dataclass(frozen=True)
+class LevelTerms:
+    """What the step off a field level u with velocity V and the energy
+    record of that level both read, each formed once."""
+
+    bu: np.ndarray        # B u
+    uxx: np.ndarray       # D_x^2 u
+    q: float              # stretch integral of u
+    velocity: np.ndarray  # V
+    damping: np.ndarray   # a g(V)
+    force: np.ndarray     # phi(u) D_x^2 u + a g(V)
 
 
 def _damping_force(V: np.ndarray, model: ModelConfig,
                    ops: OperatorSet) -> np.ndarray:
-    """a * g(V); a is zero off the collar, and everywhere without one."""
-    return ops.damping.a * eval_feedback(model.feedback, V)
+    """a * g(V), with g evaluated on the collar's nodes only: a is 1 there
+    and 0 elsewhere, and everywhere without a collar."""
+    nodes = ops.damping.nodes
+    force = np.zeros_like(V)
+    force[nodes] = eval_feedback(model.feedback, V[nodes])
+    return force
 
 
-def _applied_force(U: np.ndarray, damping: np.ndarray,
-                   model: ModelConfig, ops: OperatorSet) -> np.ndarray:
+def _applied_force(U: np.ndarray, damping: np.ndarray, model: ModelConfig,
+                   ops: OperatorSet) -> tuple[np.ndarray, np.ndarray, float]:
     """phi(U) * u_xx + a * g(V), the non-bilaplacian right-hand terms, with
-    the damping term a * g(V) passed in."""
-    phi = berger_coefficient(U, ops.weights, model.P, model.S)
-    return phi * (ops.dxx @ U) + damping
+    the damping term a * g(V) passed in; also u_xx and the stretch integral
+    q(U) of phi = -P + S q."""
+    uxx = ops.dxx @ U
+    # looked up on the module, where perfbench's tracer wraps it
+    q = _model.stretch_integral(U, ops.weights)
+    return (-model.P + model.S * q) * uxx + damping, uxx, q
+
+
+def _level_terms(u: np.ndarray, v: np.ndarray, model: ModelConfig,
+                 ops: OperatorSet, bu: np.ndarray | None = None) -> LevelTerms:
+    """The terms of level ``u`` with velocity ``v``; ``bu`` is B u if a
+    residual check formed it already."""
+    damping = _damping_force(v, model, ops)
+    force, uxx, q = _applied_force(u, damping, model, ops)
+    return LevelTerms(bu=ops.bilaplacian @ u if bu is None else bu, uxx=uxx,
+                      q=q, velocity=v, damping=damping, force=force)
 
 
 def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
@@ -129,8 +183,8 @@ def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
     if U0.shape != (n,) or V0.shape != (n,):
         raise ShapeError(f"initial data must have length {n}, "
                          f"got {U0.shape} and {V0.shape}")
-    accel = -(ops.bilaplacian @ U0) \
-        - _applied_force(U0, _damping_force(V0, model, ops), model, ops)
+    initial = _level_terms(U0, V0, model, ops)
+    accel = -initial.bu - initial.force
     u1 = U0 + dt * V0 + 0.5 * dt * dt * accel
     if not np.isfinite(u1).all():
         raise NonFiniteError("non-finite state produced by the bootstrap", 1)
@@ -138,28 +192,28 @@ def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
 
 
 def step(state: SimState, sys: FactorizedSystem, model: ModelConfig,
-         damping: np.ndarray | None = None) -> SimState:
+         terms: LevelTerms | None = None) -> SimState:
     """Advance one time step on the operators and time step of ``sys``;
-    ``damping`` is a * g(V) for the state's velocity if the caller has it
-    already, else it is evaluated here.  A state marched at another time
-    step raises ParameterError."""
+    ``terms`` are the state's newest level's terms if the caller has them
+    already, else they are formed here.  The new state carries the B u
+    that its solve formed.  A state marched at another time step raises
+    ParameterError."""
     ops, dt = sys.ops, sys.dt
     if state.dt != dt:
         raise ParameterError(f"state has time step {state.dt:g}, "
                              f"the system was built for {dt:g}")
     u, up = state.u_curr, state.u_prev
     new_index = state.step_index + 1
-    if damping is None:
-        damping = _damping_force(state.velocity(), model, ops)
-    rhs = 2.0 * u - up - (dt * dt / 2.0) * (ops.bilaplacian @ u) \
-        - dt * dt * _applied_force(u, damping, model, ops)
+    if terms is None:
+        terms = _level_terms(u, state.velocity(), model, ops, state.bu)
+    rhs = 2.0 * u - up - (dt * dt / 2.0) * terms.bu - dt * dt * terms.force
     if not np.isfinite(rhs).all():
         raise NonFiniteError(f"non-finite state at step {new_index}", new_index)
-    u_next = sys.solve(rhs)
+    u_next, bu_next = sys.solve(rhs)
     if not np.isfinite(u_next).all():
         raise NonFiniteError(f"non-finite state at step {new_index}", new_index)
     return SimState(u_curr=u_next, u_prev=u, t=state.t + dt,
-                    step_index=new_index, dt=dt)
+                    step_index=new_index, dt=dt, bu=bu_next)
 
 
 @dataclass
@@ -177,10 +231,11 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     The first record is taken right after the bootstrap (step 1); further
     records land every ``record_stride`` steps and at the final step.  The
     damping ledger accumulates dt * <a g(V), V> by the trapezoid rule over
-    steps, so records carry the cumulative dissipation next to the energy;
-    the same a g(V) feeds the next step's force.  Each snapshot time is
-    taken at step round(t/dt); a time that rounds outside steps 1..N, or
-    onto the step of an earlier request, raises ParameterError.
+    steps, so records carry the cumulative dissipation next to the energy.
+    Each level's terms feed the ledger, its record and the next step.  Each
+    snapshot time is taken at step round(t/dt); a time that rounds outside
+    steps 1..N, or onto the step of an earlier request, raises
+    ParameterError.
     Identical inputs produce bitwise-identical records.
     """
     if record_stride < 1:
@@ -201,26 +256,25 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     evaluator = PlateFormEvaluator(ops)
     state = bootstrap(U0, V0, model, sys)
 
-    def damping_power(s: SimState) -> tuple[np.ndarray, float]:
-        """a g(V) and <a g(V), V> for the state's velocity V."""
-        v = s.velocity()
-        damping = _damping_force(v, model, ops)
-        return damping, ops.weights.integrate_cells(damping * v)
+    def terms_and_power(s: SimState) -> tuple[LevelTerms, float]:
+        """The terms of the state's newest level and <a g(V), V>."""
+        terms = _level_terms(s.u_curr, s.velocity(), model, ops, s.bu)
+        return terms, ops.weights.integrate_cells(terms.damping * terms.velocity)
 
     ledger = 0.0
-    damping, power_prev = damping_power(state)
-    records = [evaluator.record(state, model, ledger)]
+    terms, power_prev = terms_and_power(state)
+    records = [evaluator.record(state, model, ledger, terms)]
     result = RunResult(records=records, final_state=state)
     if 1 in wanted_steps:
         result.snapshots[wanted_steps[1]] = (state.t, state.u_curr.copy())
 
     for n in range(2, n_steps + 1):
-        state = step(state, sys, model, damping)
-        damping, power = damping_power(state)
+        state = step(state, sys, model, terms)
+        terms, power = terms_and_power(state)
         ledger += dt * 0.5 * (power + power_prev)
         power_prev = power
         if (n - 1) % record_stride == 0 or n == n_steps:
-            records.append(evaluator.record(state, model, ledger))
+            records.append(evaluator.record(state, model, ledger, terms))
         if n in wanted_steps:
             result.snapshots[wanted_steps[n]] = (state.t, state.u_curr.copy())
     result.final_state = state

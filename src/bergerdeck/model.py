@@ -149,10 +149,13 @@ def feedback_name(kind: FeedbackKind) -> str:
 
 @dataclass(frozen=True)
 class DampingField:
-    """Per-node damping weights; 1 on the boundary collar, 0 elsewhere."""
+    """Per-node damping weights, 1 on the boundary collar and 0 elsewhere,
+    and the flat indices of the collar's nodes, where the feedback is
+    evaluated."""
 
     a: np.ndarray
     width: int
+    nodes: np.ndarray
 
 
 def damping_mask(grid: Grid, width: int) -> DampingField:
@@ -177,8 +180,10 @@ def damping_mask(grid: Grid, width: int) -> DampingField:
         a[k_dist < width, :] = 1.0
         a[:, j_dist < width] = 1.0
     flat = a.ravel()
+    nodes = np.flatnonzero(flat)
     flat.setflags(write=False)
-    return DampingField(a=flat, width=width)
+    nodes.setflags(write=False)
+    return DampingField(a=flat, width=width, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,17 @@ def test_main_lambda1_small_grid(tmp_path, capsys):
     assert "lambda1" in out and "holds" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["static", "--dt", "5"], ["static", "--T", "99"],
+    ["lambda1", "--dt", "5"], ["lambda1", "--T", "99"]])
+def test_time_options_outside_run_exit_1(tmp_path, capsys, argv):
+    # only run marches, so the others have no time step or horizon to set
+    cfg_path = _small_config_text(tmp_path)
+    assert main(argv + ["--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
 def test_module_entry_runs_with_warnings_as_errors(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nJ = 21\nK = 11\nl = 0.5\n[damping]\nwidth = 1\n")

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergerdeck import (FactorizedSystem, Linear, OperatorSet, SqrtOdd,
-                        bootstrap, build_operators, build_weights,
+from bergerdeck import (ExpDegenerate, FactorizedSystem, Linear, OperatorSet,
+                        Piecewise, PlateFormEvaluator, Power, SqrtOdd,
+                        bootstrap, build_grid, build_operators, build_weights,
                         damping_mask, dump_snapshot, make_model, run, sin_load,
                         solve_static, step)
 from bergerdeck.errors import NonFiniteError, ParameterError, ShapeError
 from bergerdeck.model import eval_feedback
-from bergerdeck.integrator import SimState
+from bergerdeck.integrator import SimState, _damping_force
 from oracles import dense_bootstrap, dense_step
 
 L, SIGMA = 1.0, 0.2
@@ -36,6 +41,30 @@ def tiny_model():
 
 UNDAMPED = make_model(P=0.0, S=0.0, feedback=Linear())
 SQRT = make_model(P=1e-3, S=1e-5, feedback=SqrtOdd())
+
+
+# --- collar-only feedback -----------------------------------------------------
+
+COLLAR_OPS = {width: build_operators(build_grid(5, 3, 1.0), SIGMA, width)
+              for width in (0, 1, 2)}
+FEEDBACKS = st.one_of(st.just(Linear()), st.just(SqrtOdd()), st.just(Piecewise()),
+                      st.just(ExpDegenerate()),
+                      st.floats(min_value=0.1, max_value=5.0).map(Power))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=FEEDBACKS, width=st.sampled_from(sorted(COLLAR_OPS)),
+       scale=st.sampled_from([1e-8, 1e-2, 1.0, 1e3]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_collar_feedback_equals_weighted_feedback(kind, width, scale, seed):
+    ops = COLLAR_OPS[width]
+    V = scale * np.random.default_rng(seed).normal(size=ops.grid.n_dof)
+    model = make_model(P=1e-3, S=1e-5, feedback=kind)
+    collar = _damping_force(V, model, ops)
+    assert np.array_equal(collar, ops.damping.a * eval_feedback(kind, V))
+    assert len(ops.damping.nodes) == np.count_nonzero(ops.damping.a)
+    if width == 0:
+        assert not collar.any()
 
 
 # --- bootstrap ------------------------------------------------------------
@@ -80,7 +109,7 @@ class _IdentitySystem:
         self.ops, self.dt = ops, dt
 
     def solve(self, rhs):
-        return rhs.copy()
+        return rhs.copy(), self.ops.bilaplacian @ rhs
 
 
 def test_step_free_recurrence(tiny_grid):
@@ -118,15 +147,52 @@ def test_step_matches_dense_oracle(tiny_ops, tiny_sys, tiny_grid):
     assert np.max(np.abs(out.u_curr - ref)) <= 1e-10
 
 
-def test_step_with_given_damping_is_bitwise_equal(tiny_ops, tiny_sys, tiny_grid):
-    from bergerdeck.integrator import _damping_force
+def test_step_with_given_terms_is_bitwise_equal(tiny_ops, tiny_sys, tiny_grid):
+    from bergerdeck.integrator import _level_terms
     rng = np.random.default_rng(9)
     u, up = rng.normal(size=tiny_grid.n_dof), rng.normal(size=tiny_grid.n_dof)
     state = SimState(u_curr=u, u_prev=up, t=0.01, step_index=1, dt=0.01)
     given = step(state, tiny_sys, SQRT,
-                 _damping_force(state.velocity(), SQRT, tiny_ops))
-    np.testing.assert_array_equal(given.u_curr,
-                                  step(state, tiny_sys, SQRT).u_curr)
+                 _level_terms(u, state.velocity(), SQRT, tiny_ops))
+    fresh = step(state, tiny_sys, SQRT)
+    np.testing.assert_array_equal(given.u_curr, fresh.u_curr)
+    # the B u the solve hands on is the sparse product of the new level
+    np.testing.assert_array_equal(fresh.bu, tiny_ops.bilaplacian @ fresh.u_curr)
+
+
+def test_step_detects_non_finite_feedback_on_collar(tiny_ops, tiny_sys,
+                                                   tiny_model, tiny_grid,
+                                                   monkeypatch):
+    import bergerdeck.integrator as integrator
+
+    def overflowing(kind, s):
+        out = eval_feedback(kind, s)
+        out[len(out) // 2] = np.inf
+        return out
+
+    monkeypatch.setattr(integrator, "eval_feedback", overflowing)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=tiny_grid.n_dof)
+    state = SimState(u_curr=u, u_prev=0.5 * u, t=0.01, step_index=1, dt=0.01)
+    with pytest.raises(NonFiniteError) as err:
+        step(state, tiny_sys, tiny_model)
+    assert err.value.step_index == 2
+
+
+def test_solve_forms_bilaplacian_again_after_correction(tiny_ops):
+    sys = FactorizedSystem(tiny_ops, dt=0.01)
+    exact = sys._solver
+
+    class _Perturbed:
+        # misses the residual contract on the first solve, so a correction
+        # sweep runs
+        def solve(self, rhs):
+            return (1.0 + 1e-6) * exact.solve(rhs)
+
+    sys._solver = _Perturbed()
+    rhs = np.random.default_rng(3).normal(size=tiny_ops.grid.n_dof)
+    x, bx = sys.solve(rhs)
+    np.testing.assert_array_equal(bx, tiny_ops.bilaplacian @ x)
 
 
 def test_step_detects_non_finite(tiny_sys, tiny_model, tiny_grid):
@@ -157,14 +223,51 @@ def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
     calls = []
 
     def counted(kind, s):
-        calls.append(1)
+        calls.append(np.size(s))
         return eval_feedback(kind, s)
 
     monkeypatch.setattr(integrator, "eval_feedback", counted)
     u0 = np.zeros(tiny_grid.n_dof)
     run(SQRT, tiny_ops, u0, np.ones_like(u0), dt=0.01, T=0.5)
-    # the bootstrap's initial velocity, then one per field level 1..50
+    # the bootstrap's initial velocity, then one per field level 1..50,
+    # each on the collar's nodes only
     assert len(calls) == 1 + 50
+    collar = np.count_nonzero(tiny_ops.damping.a)
+    assert 0 < collar < tiny_grid.n_dof
+    assert set(calls) == {collar}
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_matches_plain_step_and_record_loop(stride, tiny_ops, tiny_grid):
+    # run carries each level's terms into its record and the next step; a
+    # loop that forms every product afresh must give the same bits
+    dt, n_steps = 0.01, 50
+    u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
+    v0 = 0.1 * np.random.default_rng(4).normal(size=tiny_grid.n_dof)
+    result = run(SQRT, tiny_ops, u0, v0, dt=dt, T=n_steps * dt,
+                 record_stride=stride)
+
+    sys = FactorizedSystem(tiny_ops, dt)
+    evaluator = PlateFormEvaluator(tiny_ops)
+
+    def power(state):
+        v = state.velocity()
+        damping = tiny_ops.damping.a * eval_feedback(SQRT.feedback, v)
+        return tiny_ops.weights.integrate_cells(damping * v)
+
+    state = bootstrap(u0, v0, SQRT, sys)
+    ledger, power_prev = 0.0, power(state)
+    records = [evaluator.record(state, SQRT, ledger)]
+    for n in range(2, n_steps + 1):
+        state = step(dataclasses.replace(state, bu=None), sys, SQRT)
+        p = power(state)
+        ledger += dt * 0.5 * (p + power_prev)
+        power_prev = p
+        if (n - 1) % stride == 0 or n == n_steps:
+            records.append(evaluator.record(state, SQRT, ledger))
+    assert result.records == records
+    np.testing.assert_array_equal(result.final_state.u_curr, state.u_curr)
+    np.testing.assert_array_equal(result.final_state.u_prev, state.u_prev)
 
 
 def test_run_is_deterministic(tiny_ops, tiny_grid):
