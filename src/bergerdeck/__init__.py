@@ -3,10 +3,9 @@ nonlocal stretching nonlinearity and damping on a boundary collar."""
 
 from .grid import Grid, QuadratureWeights, build_grid, build_weights
 from .model import (DampingField, ExpDegenerate, FeedbackKind, Linear,
-                    ModelConfig, Piecewise, Power, SqrtOdd,
-                    berger_coefficient, damping_mask, eval_feedback,
-                    feedback_from_name, feedback_name, make_model,
-                    stretch_integral)
+                    ModelConfig, Piecewise, Power, SqrtOdd, damping_mask,
+                    eval_feedback, feedback_from_name, feedback_name,
+                    make_model, stretch_integral)
 from .operators import (assemble_bilaplacian, assemble_d2_1d,
                         assemble_d4_hinged_1d, assemble_dxx, assemble_dy2,
                         assemble_dy4, free_edge_stencil_report)

@@ -213,12 +213,6 @@ def stretch_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
     return math.fsum(np.matmul(cell2[:, None, :], sq[:, :, None]).ravel())
 
 
-def berger_coefficient(U: np.ndarray, weights: QuadratureWeights,
-                       P: float, S: float) -> float:
-    """Nonlocal coefficient -P + S * integral of u_x^2."""
-    return -P + S * stretch_integral(U, weights)
-
-
 # ---------------------------------------------------------------------------
 # model configuration
 

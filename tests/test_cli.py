@@ -224,6 +224,27 @@ def test_csv_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     assert digests[0] == digests[1]
 
 
+
+def test_lambda1_does_not_depend_on_blas_thread_count(tmp_path):
+    # the printed line on the fig7 plate, and the estimate's bits there and
+    # on a 299 x 199 plate, whose 15,150 folded unknowns are enough for
+    # OpenBLAS to split a dot product across threads
+    src = str(Path(bergerdeck.__file__).resolve().parents[1])
+    bits = ("from bergerdeck import build_grid, lambda1_estimate; "
+            "from bergerdeck.cli import preset; c = preset('fig7'); "
+            "print([lambda1_estimate(build_grid(J, K, c.l), c.sigma) "
+            "for J, K in ((c.J, c.K), (299, 199))])")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        for argv in (["-m", "bergerdeck.cli", "lambda1", "--preset", "fig7"], ["-c", bits]):
+            proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                                  cwd=tmp_path, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+    assert outputs[:2] == outputs[2:]
+
+
 # --- SVG chart ----------------------------------------------------------------------
 
 def test_svg_two_points(tmp_path):

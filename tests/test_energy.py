@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
-                        build_operators, dissipation_residual,
-                        lambda1_estimate, make_model)
-from bergerdeck.energy import gradient_gram, hstar_gram
+                        build_grid, build_operators, build_weights,
+                        dissipation_residual, lambda1_estimate, make_model)
+from bergerdeck.energy import gradient_gram, hstar_gram, parity_fold
 from bergerdeck.errors import SequencingError, ShapeError
+from oracles import full_grid_lambda1
 
 SIGMA = 0.2
 
@@ -144,14 +148,63 @@ def test_residual_needs_two_records():
 
 # --- embedding constant ------------------------------------------------------
 
-def test_lambda1_matches_dense_oracle(tiny_grid, tiny_weights):
-    value = lambda1_estimate(tiny_grid, SIGMA)
-    A = hstar_gram(tiny_grid, SIGMA, tiny_weights).toarray()
-    B = gradient_gram(tiny_grid, tiny_weights).toarray()
+def _flip(n: int) -> sp.csr_matrix:
+    return sp.csr_matrix(np.eye(n)[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.sampled_from([5, 7, 9, 11]), K=st.integers(min_value=3, max_value=8),
+       l=st.floats(min_value=0.05, max_value=10.0),
+       sigma=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_grams_commute_with_flips_and_fold_exactly(J, K, l, sigma, seed):
+    grid = build_grid(J, K, l)
+    weights = build_weights(grid)
+    ny = grid.K + 2
+    flips = (sp.kron(sp.identity(ny), _flip(grid.J)),   # j -> J+1-j
+             sp.kron(_flip(ny), sp.identity(grid.J)))   # k -> K+1-k
+    fold = parity_fold(grid)
+    assert fold.shape == (grid.n_dof, (ny - ny // 2) * (grid.J - grid.J // 2))
+    multiplicity = np.asarray(fold.sum(axis=0)).ravel()  # diagonal of fold^T fold
+    z = np.random.default_rng(seed).normal(size=fold.shape[1])
+    for gram in (hstar_gram(grid, sigma, weights), gradient_gram(grid, weights)):
+        scale = abs(gram).max()
+        for flip in flips:
+            assert abs(flip @ gram @ flip - gram).max() <= 1e-13 * scale
+        # A maps the even-even fields to themselves, so A (F z) = F w with
+        # F^T A F z = F^T F w = d w
+        full = gram @ (fold @ z)
+        folded = fold @ ((fold.T @ gram @ fold) @ z / multiplicity)
+        bound = 1e-13 * (abs(gram) @ abs(fold @ z)).max()
+        assert np.abs(full - folded).max() <= bound
+
+
+def _dense_lambda1(grid, sigma):
+    weights = build_weights(grid)
+    A = hstar_gram(grid, sigma, weights).toarray()
+    B = gradient_gram(grid, weights).toarray()
     # B is singular, A is definite: solve the flipped pencil B x = mu A x
-    mu = scipy.linalg.eigh(B, A, eigvals_only=True)
-    dense = 1.0 / mu.max()
-    assert value == pytest.approx(dense, rel=1e-6)
+    n = grid.n_dof
+    mu = scipy.linalg.eigh(B, A, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return 1.0 / mu[0]
+
+
+def test_lambda1_matches_dense_oracle(tiny_grid):
+    # the estimate solves the even-even parity sector only, the dense
+    # pencil all four: agreement shows the global minimum lies in that sector
+    cases = [(tiny_grid, SIGMA)] + [
+        (build_grid(J, K, l), sigma) for J, K in ((21, 11), (41, 21), (41, 20))
+        for l in (0.3, 1.0, 3.0) for sigma in (0.05, 0.2, 0.45)]
+    for grid, sigma in cases:
+        value = lambda1_estimate(grid, sigma)
+        dense = _dense_lambda1(grid, sigma)
+        assert value == pytest.approx(dense, rel=1e-6), (grid.J, grid.K, grid.l, sigma)
+
+
+def test_lambda1_matches_full_grid_iteration(preset_grid):
+    # both stop at 1e-8 relative; the folded pencil runs the same iteration
+    value = lambda1_estimate(preset_grid, SIGMA)
+    assert value == pytest.approx(full_grid_lambda1(preset_grid, SIGMA), rel=1e-8)
 
 
 def test_lambda1_positive_and_minimal(tiny_grid, tiny_weights):

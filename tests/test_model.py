@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import (ExpDegenerate, Linear, Piecewise, Power, SqrtOdd,
-                        berger_coefficient, build_grid, build_weights,
-                        damping_mask, eval_feedback, feedback_from_name,
-                        feedback_name, make_model, stretch_integral)
+                        build_grid, build_weights, damping_mask, eval_feedback,
+                        feedback_from_name, feedback_name, make_model,
+                        stretch_integral)
 from bergerdeck.errors import ParameterError, ShapeError, SizingError
-from oracles import level_dot_stretch
+from oracles import berger_coefficient, level_dot_stretch
 
 ALL_KINDS = [Linear(), SqrtOdd(), Power(0.5), Power(3.0), Piecewise(),
              ExpDegenerate()]
