@@ -7,8 +7,7 @@ from .model import (DampingField, ExpDegenerate, FeedbackKind, Linear,
                     eval_feedback, feedback_from_name, feedback_name,
                     make_model, stretch_integral)
 from .operators import (assemble_bilaplacian, assemble_d2_1d,
-                        assemble_d4_hinged_1d, assemble_dxx, assemble_dy2,
-                        assemble_dy4, free_edge_stencil_report)
+                        assemble_d4_hinged_1d, assemble_dxx, assemble_dy2)
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
                      lambda1_estimate)

@@ -17,7 +17,8 @@ and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
 J independent (K+2) x (K+2) systems, one per x sine mode (Lynch, Rice &
 Thomas 1964).  The plate is symmetric under y -> -y, so each of them
 splits again into an even and an odd half of about (K+2)/2 levels.  The
-halves' inverses are formed once per run; each solve is still checked
+halves' inverses are formed once per ``FactorizedSystem``, which any
+number of runs can march on; each solve is still checked
 against the residual contract, with M x formed as x + dt^2/2 (B x) from the
 sparse B, and that B x is the next step's B U^n.
 
@@ -223,10 +224,11 @@ class RunResult:
     snapshots: dict[float, tuple[float, np.ndarray]] = field(default_factory=dict)
 
 
-def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
-        dt: float, T: float, record_stride: int = 1,
+def run(model: ModelConfig, sys: FactorizedSystem, U0: np.ndarray,
+        V0: np.ndarray, T: float, record_stride: int = 1,
         snapshot_times: tuple[float, ...] = ()) -> RunResult:
-    """Bootstrap, march N = round(T/dt) steps, and collect energy records.
+    """Bootstrap, march N = round(T/dt) steps on the operators and time
+    step dt of ``sys``, and collect energy records.
 
     The first record is taken right after the bootstrap (step 1); further
     records land every ``record_stride`` steps and at the final step.  The
@@ -238,6 +240,7 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
     ParameterError.
     Identical inputs produce bitwise-identical records.
     """
+    ops, dt = sys.ops, sys.dt
     if record_stride < 1:
         raise ShapeError(f"record stride must be >= 1, got {record_stride}")
     n_steps = int(round(T / dt))
@@ -252,7 +255,6 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
                                  f"{t_req:g} both round to step {k}")
         wanted_steps[k] = t_req
 
-    sys = FactorizedSystem(ops, dt)
     evaluator = PlateFormEvaluator(ops)
     state = bootstrap(U0, V0, model, sys)
 
@@ -282,16 +284,17 @@ def run(model: ModelConfig, ops: OperatorSet, U0: np.ndarray, V0: np.ndarray,
 
 
 def dump_snapshot(U: np.ndarray, grid: Grid, path: str) -> None:
-    """Write a flattened field as CSV rows (k, j, x, y, value)."""
+    """Write a flattened field as CSV rows (k, j, x, y, value), every float
+    to 17 significant digits; each x and y coordinate is formatted once."""
     if U.shape != (grid.n_dof,):
         raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")
-    xs = grid.x_interior()
-    ys = grid.y_levels()
-    u2 = U.reshape(grid.shape)
+    heads = [f"{j},{x:.17g}," for j, x in enumerate(grid.x_interior().tolist(), 1)]
     lines = ["k,j,x,y,value"]
-    for k in range(grid.K + 2):
-        for j in range(1, grid.J + 1):
-            lines.append(f"{k},{j},{xs[j - 1]:.17g},{ys[k]:.17g},{u2[k, j - 1]:.17g}")
+    for k, (y, values) in enumerate(zip(grid.y_levels().tolist(),
+                                        U.reshape(grid.shape).tolist())):
+        y_text = f"{y:.17g},"
+        lines += [f"{k},{head}{y_text}{value:.17g}"
+                  for head, value in zip(heads, values)]
     try:
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -163,14 +163,6 @@ def _dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
     return _level_matrices(ny, rows)
 
 
-def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
-    """y fourth difference with free-edge ghost levels eliminated."""
-    lx = assemble_d2_1d(grid.J, grid.dx)
-    blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
-    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
-    return _finalize(_kron_sum(_dy4_levels(grid, sigma), blocks) / dy4)
-
-
 def _bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
     """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p).  With
     D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E, Lx^2), they are
@@ -237,52 +229,3 @@ def modal_blocks(grid: Grid, sigma: float) -> tuple[np.ndarray, np.ndarray]:
         half += mu * mu * p2
         halves.append(half)
     return tuple(halves)
-
-
-def free_edge_shorthand_coefficients(sigma: float, dy: float) -> tuple[float, float]:
-    """The compact (sigma1, sigma2) constants of the two-coefficient
-    shorthand for the free-edge blocks:
-
-        sigma1 = dy^2 (2 sigma - 3 (2 - sigma)),   sigma2 = dy^2 (2 - sigma)
-    """
-    dy2 = dy * dy
-    return dy2 * (2.0 * sigma - 3.0 * (2.0 - sigma)), dy2 * (2.0 - sigma)
-
-
-def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
-    """Compare the ghost-eliminated edge blocks with the compact
-    sigma1/sigma2 shorthand.
-
-    Each entry describes one (row level, column level, term) coefficient of
-    the unscaled fourth-difference blocks, where ``term`` is the multiple of
-    I, Lx, or Lx^2 (Lx the x second derivative).  Blocks whose derived
-    coefficient deviates from the shorthand are flagged ``match=False``;
-    the shorthand's row k = 1 agrees with the derivation, its row k = 0
-    does not.
-    """
-    check_sigma(sigma)
-    dy2 = grid.dy * grid.dy
-    sigma1, sigma2 = free_edge_shorthand_coefficients(sigma, grid.dy)
-    derived = _edge_rows(sigma, dy2)
-    shorthand = {
-        (0, 0): (2.0, sigma1, 0.0),
-        (0, 1): (-4.0, 4.0 * sigma2, 0.0),
-        (0, 2): (2.0, -sigma2, 0.0),
-        (1, 0): (-2.0, -sigma * dy2, 0.0),
-        (1, 1): (5.0, 0.0, 0.0),
-        (1, 2): (-4.0, 0.0, 0.0),
-        (1, 3): (1.0, 0.0, 0.0),
-    }
-    report = []
-    for key in sorted(derived):
-        for slot, term in enumerate(("I", "Lx", "Lx^2")):
-            d, s = derived[key][slot], shorthand[key][slot]
-            report.append({
-                "row": key[0],
-                "col": key[1],
-                "term": term,
-                "derived": d,
-                "shorthand": s,
-                "match": d == s,
-            })
-    return report

@@ -2,8 +2,8 @@
 
 Most are built with plain dense numpy and literal loops so the sparse
 production assembly is checked against a second, structurally different
-derivation; the rest are the plain forms that a faster library path
-replaced.
+derivation; others are the plain forms that a faster library path
+replaced, and the rest are operators and reports that only tests read.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ import scipy.sparse.linalg as spla
 
 from bergerdeck import build_weights, stretch_integral
 from bergerdeck.energy import gradient_gram, hstar_gram
+from bergerdeck.errors import ConfigError, ShapeError
+from bergerdeck.grid import Grid
+from bergerdeck.operators import (SparseOperator, _dy4_levels, _edge_rows,
+                                  _finalize, _kron_sum, assemble_d2_1d,
+                                  check_sigma)
 
 
 def dense_lx(J: int, dx: float) -> np.ndarray:
@@ -190,6 +195,25 @@ def observed_orders(errors: list[float]) -> list[float]:
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
 
+def dump_snapshot_per_node(U: np.ndarray, grid: Grid, path: str) -> None:
+    """Per-node reference for ``integrator.dump_snapshot``: three ``.17g``
+    formats per row, coordinates read from the arrays each time."""
+    if U.shape != (grid.n_dof,):
+        raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")
+    xs = grid.x_interior()
+    ys = grid.y_levels()
+    u2 = U.reshape(grid.shape)
+    lines = ["k,j,x,y,value"]
+    for k in range(grid.K + 2):
+        for j in range(1, grid.J + 1):
+            lines.append(f"{k},{j},{xs[j - 1]:.17g},{ys[k]:.17g},{u2[k, j - 1]:.17g}")
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc
+
+
 def berger_coefficient(U: np.ndarray, weights, P: float, S: float) -> float:
     """Nonlocal coefficient -P + S * integral of u_x^2."""
     return -P + S * stretch_integral(U, weights)
@@ -215,3 +239,60 @@ def full_grid_lambda1(grid, sigma: float) -> float:
             return rho
         rho_prev = rho
     raise AssertionError("full-grid iteration did not settle in 500 sweeps")
+
+
+def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
+    """y fourth difference with free-edge ghost levels eliminated."""
+    lx = assemble_d2_1d(grid.J, grid.dx)
+    blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
+    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
+    return _finalize(_kron_sum(_dy4_levels(grid, sigma), blocks) / dy4)
+
+
+def free_edge_shorthand_coefficients(sigma: float, dy: float) -> tuple[float, float]:
+    """The compact (sigma1, sigma2) constants of the two-coefficient
+    shorthand for the free-edge blocks:
+
+        sigma1 = dy^2 (2 sigma - 3 (2 - sigma)),   sigma2 = dy^2 (2 - sigma)
+    """
+    dy2 = dy * dy
+    return dy2 * (2.0 * sigma - 3.0 * (2.0 - sigma)), dy2 * (2.0 - sigma)
+
+
+def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
+    """Compare the ghost-eliminated edge blocks with the compact
+    sigma1/sigma2 shorthand.
+
+    Each entry describes one (row level, column level, term) coefficient of
+    the unscaled fourth-difference blocks, where ``term`` is the multiple of
+    I, Lx, or Lx^2 (Lx the x second derivative).  Blocks whose derived
+    coefficient deviates from the shorthand are flagged ``match=False``;
+    the shorthand's row k = 1 agrees with the derivation, its row k = 0
+    does not.
+    """
+    check_sigma(sigma)
+    dy2 = grid.dy * grid.dy
+    sigma1, sigma2 = free_edge_shorthand_coefficients(sigma, grid.dy)
+    derived = _edge_rows(sigma, dy2)
+    shorthand = {
+        (0, 0): (2.0, sigma1, 0.0),
+        (0, 1): (-4.0, 4.0 * sigma2, 0.0),
+        (0, 2): (2.0, -sigma2, 0.0),
+        (1, 0): (-2.0, -sigma * dy2, 0.0),
+        (1, 1): (5.0, 0.0, 0.0),
+        (1, 2): (-4.0, 0.0, 0.0),
+        (1, 3): (1.0, 0.0, 0.0),
+    }
+    report = []
+    for key in sorted(derived):
+        for slot, term in enumerate(("I", "Lx", "Lx^2")):
+            d, s = derived[key][slot], shorthand[key][slot]
+            report.append({
+                "row": key[0],
+                "col": key[1],
+                "term": term,
+                "derived": d,
+                "shorthand": s,
+                "match": d == s,
+            })
+    return report

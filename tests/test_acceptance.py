@@ -56,7 +56,7 @@ def conservation_runs():
     v0 = np.zeros_like(u0)
     out = {}
     for dt in (1e-3, 5e-4):
-        result = run(model, ops, u0, v0, dt, 10.0,
+        result = run(model, FactorizedSystem(ops, dt), u0, v0, 10.0,
                      record_stride=int(round(10.0 / dt)))
         out[dt] = result.records
     return out

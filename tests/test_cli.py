@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from bergerdeck import EnergyRecord, SqrtOdd
 from bergerdeck.cli import (PRESET_NAMES, RunConfig, _validate, emit_svg_plot,
                             main, parse_config, preset, read_energy_csv,
                             render_config, run_config, write_energy_csv)
+from bergerdeck.decaylaw import fit_decay, fit_report_row
 from bergerdeck.errors import ConfigError, PlotError
-from bergerdeck.model import Piecewise
+from bergerdeck.model import Piecewise, feedback_name
 
 
 def _rec(step, t, total, diss=0.0):
@@ -515,3 +517,64 @@ def test_main_sweep_unwritable_outputs_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--out-dir", str(out_dir)]) == 1
     assert "error: cannot write fit report" in capsys.readouterr().err
     assert not (out_dir / "fig6_energy.csv").exists()
+
+
+SWEEP_NAMES = ("fig6", "fig7", "fig8")
+
+
+def _sweep_table(monkeypatch, changes):
+    """Point ``cli.preset`` at small plates carrying each figure's feedback,
+    with ``changes[name]`` applied to that preset."""
+    import bergerdeck.cli as cli_mod
+
+    small = RunConfig(J=15, K=7, l=0.5, sigma=0.2, P=1e-3, S=1e-5, width=1,
+                      dt=0.02, T=2.0, record_stride=1, csv="unused.csv")
+    table = {name: replace(small, feedback=preset(name).feedback,
+                           **changes.get(name, {}))
+             for name in SWEEP_NAMES}
+    monkeypatch.setattr(cli_mod, "preset", table.__getitem__)
+    return table
+
+
+def _independent_sweep(table, out_dir):
+    """The sweep's files, written from one ``run_config`` per preset."""
+    out_dir.mkdir()
+    rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
+    for name, cfg in table.items():
+        result = run_config(cfg)
+        stem = out_dir / f"{name}_energy"
+        write_energy_csv(result.records, f"{stem}.csv")
+        emit_svg_plot(result.records, f"{stem}.svg",
+                      title=f"{name}: feedback {feedback_name(cfg.feedback)}")
+        ts = np.array([rec.t for rec in result.records])
+        es = np.array([rec.total for rec in result.records])
+        rows.append(fit_report_row(name, fit_decay(ts, es)))
+    (out_dir / "decay_fits.csv").write_bytes(("\n".join(rows) + "\n").encode())
+
+
+@pytest.mark.parametrize("changes, plates", [
+    ({}, 1),
+    ({"fig7": {"sigma": 0.3}}, 2),
+    ({"fig8": {"width": 2}}, 2),
+    ({"fig6": {"sigma": 0.3}, "fig8": {"width": 0}}, 3),
+], ids=["shared", "sigma", "width", "sigma-and-width"])
+def test_sweep_builds_each_plate_once_with_solo_bytes(tmp_path, monkeypatch,
+                                                      changes, plates):
+    import bergerdeck.cli as cli_mod
+
+    table = _sweep_table(monkeypatch, changes)
+    _independent_sweep(table, tmp_path / "solo")
+    built = []
+
+    class Counted(cli_mod.FactorizedSystem):
+        def __init__(self, ops, dt):
+            built.append((ops.sigma, ops.damping.width, dt))
+            super().__init__(ops, dt)
+
+    monkeypatch.setattr(cli_mod, "FactorizedSystem", Counted)
+    assert main(["sweep", "--out-dir", str(tmp_path / "sweep")]) == 0
+    assert len(built) == len(set(built)) == plates
+    files = [f"{name}_energy.{ext}" for name in SWEEP_NAMES for ext in ("csv", "svg")]
+    for name in files + ["decay_fits.csv"]:
+        assert (tmp_path / "sweep" / name).read_bytes() == \
+            (tmp_path / "solo" / name).read_bytes(), name

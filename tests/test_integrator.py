@@ -1,4 +1,6 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from bergerdeck import (ExpDegenerate, FactorizedSystem, Linear, OperatorSet,
 from bergerdeck.errors import NonFiniteError, ParameterError, ShapeError
 from bergerdeck.model import eval_feedback
 from bergerdeck.integrator import SimState, _damping_force
-from oracles import dense_bootstrap, dense_step
+from oracles import dense_bootstrap, dense_step, dump_snapshot_per_node
 
 L, SIGMA = 1.0, 0.2
 
@@ -212,13 +214,14 @@ def test_step_refuses_state_of_another_dt(tiny_sys, tiny_model, tiny_grid):
 
 # --- full runs --------------------------------------------------------------------
 
-def test_run_zero_horizon(tiny_ops, tiny_model, tiny_grid):
+def test_run_zero_horizon(tiny_sys, tiny_model, tiny_grid):
     z = np.zeros(tiny_grid.n_dof)
-    result = run(tiny_model, tiny_ops, z, z, dt=0.01, T=0.0)
+    result = run(tiny_model, tiny_sys, z, z, T=0.0)
     assert len(result.records) == 1  # nothing beyond the initial record
 
 
-def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
+def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_sys, tiny_grid,
+                                              monkeypatch):
     import bergerdeck.integrator as integrator
     calls = []
 
@@ -228,7 +231,7 @@ def test_run_evaluates_feedback_once_per_step(tiny_ops, tiny_grid, monkeypatch):
 
     monkeypatch.setattr(integrator, "eval_feedback", counted)
     u0 = np.zeros(tiny_grid.n_dof)
-    run(SQRT, tiny_ops, u0, np.ones_like(u0), dt=0.01, T=0.5)
+    run(SQRT, tiny_sys, u0, np.ones_like(u0), T=0.5)
     # the bootstrap's initial velocity, then one per field level 1..50,
     # each on the collar's nodes only
     assert len(calls) == 1 + 50
@@ -244,10 +247,9 @@ def test_run_matches_plain_step_and_record_loop(stride, tiny_ops, tiny_grid):
     dt, n_steps = 0.01, 50
     u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
     v0 = 0.1 * np.random.default_rng(4).normal(size=tiny_grid.n_dof)
-    result = run(SQRT, tiny_ops, u0, v0, dt=dt, T=n_steps * dt,
-                 record_stride=stride)
-
     sys = FactorizedSystem(tiny_ops, dt)
+    result = run(SQRT, sys, u0, v0, T=n_steps * dt, record_stride=stride)
+
     evaluator = PlateFormEvaluator(tiny_ops)
 
     def power(state):
@@ -273,8 +275,8 @@ def test_run_matches_plain_step_and_record_loop(stride, tiny_ops, tiny_grid):
 def test_run_is_deterministic(tiny_ops, tiny_grid):
     u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
     v0 = np.zeros(tiny_grid.n_dof)
-    a = run(SQRT, tiny_ops, u0, v0, dt=0.01, T=1.0)
-    b = run(SQRT, tiny_ops, u0, v0, dt=0.01, T=1.0)
+    a = run(SQRT, FactorizedSystem(tiny_ops, 0.01), u0, v0, T=1.0)
+    b = run(SQRT, FactorizedSystem(tiny_ops, 0.01), u0, v0, T=1.0)
     assert [r.total for r in a.records] == [r.total for r in b.records]
     assert [r.dissipated_cum for r in a.records] == [r.dissipated_cum for r in b.records]
     np.testing.assert_array_equal(a.final_state.u_curr, b.final_state.u_curr)
@@ -284,23 +286,24 @@ def test_run_is_deterministic(tiny_ops, tiny_grid):
 def test_unconditional_stability(dt, undamped_ops, tiny_grid):
     u0 = solve_static(sin_load(tiny_grid, 50.0, 1), undamped_ops)
     v0 = np.zeros(tiny_grid.n_dof)
-    result = run(UNDAMPED, undamped_ops, u0, v0, dt=dt, T=10.0, record_stride=10)
+    result = run(UNDAMPED, FactorizedSystem(undamped_ops, dt), u0, v0, T=10.0,
+                 record_stride=10)
     e0 = result.records[0].total
     assert all(r.total <= 1.05 * e0 for r in result.records)
 
 
-def test_damping_ledger_nonnegative_and_monotone(tiny_ops, tiny_grid):
+def test_damping_ledger_nonnegative_and_monotone(tiny_ops, tiny_sys, tiny_grid):
     u0 = solve_static(sin_load(tiny_grid, 50.0, 2), tiny_ops)
-    result = run(SQRT, tiny_ops, u0, np.zeros_like(u0), dt=0.01, T=2.0)
+    result = run(SQRT, tiny_sys, u0, np.zeros_like(u0), T=2.0)
     ledgers = [r.dissipated_cum for r in result.records]
     assert ledgers[0] == 0.0
     assert all(b >= a for a, b in zip(ledgers, ledgers[1:]))
     assert ledgers[-1] > 0.0
 
 
-def test_run_snapshot_capture(tiny_ops, tiny_model, tiny_grid, tmp_path):
+def test_run_snapshot_capture(tiny_sys, tiny_model, tiny_grid, tmp_path):
     u0 = np.zeros(tiny_grid.n_dof)
-    result = run(tiny_model, tiny_ops, u0, np.ones_like(u0), dt=0.01, T=0.5,
+    result = run(tiny_model, tiny_sys, u0, np.ones_like(u0), T=0.5,
                  snapshot_times=(0.25,))
     assert 0.25 in result.snapshots
     t_actual, field = result.snapshots[0.25]
@@ -313,3 +316,34 @@ def test_run_snapshot_capture(tiny_ops, tiny_model, tiny_grid, tmp_path):
     k, j, x, y, value = lines[1].split(",")
     assert (int(k), int(j)) == (0, 1)
     assert float(x) == pytest.approx(tiny_grid.dx)
+
+
+# the values whose shortest round trip is unusual: signed zero, the least
+# subnormal, the extremes near the float64 range, and integral values
+SNAPSHOT_SPECIALS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -12.0,
+                     2.0 ** 53, 1e16)
+
+
+@pytest.mark.parametrize("odd_levels", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snapshot_matches_per_node_writer(odd_levels, data):
+    # the writer formats each coordinate once and the values from a list;
+    # the file must be the per-node writer's, byte for byte
+    J = data.draw(st.integers(min_value=5, max_value=12), label="J")
+    # K + 2 levels, odd exactly when odd_levels
+    K = 2 * data.draw(st.integers(min_value=2, max_value=5), label="K half") \
+        - int(odd_levels)
+    l = data.draw(st.floats(min_value=0.01, max_value=10.0), label="l")
+    grid = build_grid(J, K, l)
+    values = data.draw(st.lists(
+        st.one_of(st.sampled_from(SNAPSHOT_SPECIALS),
+                  st.integers(-10 ** 6, 10 ** 6).map(float),
+                  st.floats()),
+        min_size=grid.n_dof, max_size=grid.n_dof), label="values")
+    field = np.array(values)
+    with tempfile.TemporaryDirectory() as folder:
+        ours, ref = Path(folder, "ours.csv"), Path(folder, "ref.csv")
+        dump_snapshot(field, grid, str(ours))
+        dump_snapshot_per_node(field, grid, str(ref))
+        assert ours.read_bytes() == ref.read_bytes()

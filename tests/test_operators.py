@@ -14,10 +14,10 @@ from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, assemble_dy4,
-                                  free_edge_shorthand_coefficients,
-                                  free_edge_stencil_report, modal_blocks)
-from oracles import dense_bilaplacian, dense_dy2, dense_dy4, observed_orders
+                                  assemble_dy2, modal_blocks)
+from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
+                     free_edge_shorthand_coefficients, free_edge_stencil_report,
+                     observed_orders)
 
 
 # --- 1-d second difference ------------------------------------------------
