@@ -6,54 +6,45 @@ import math
 
 import numpy as np
 import scipy.fft
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveError
+from .grid import Grid
+from .operators import level_weights
 
 RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
 
 
 class ModalSolver:
     """Solves M x = b for an M that the orthonormal DST-I along x splits
-    into one (K+2) x (K+2) block per sine mode (Lynch, Rice & Thomas 1964),
-    and that the level flip F: k -> K+1-k splits again into an even and an
-    odd half per mode (``operators.modal_blocks``).
+    into one pentadiagonal (K+2) x (K+2) block M_m per sine mode (Lynch,
+    Rice & Thomas 1964), on the field of ``grid`` flattened from (K+2, J).
 
-    ``halves`` is the pair (even, odd) of shapes (J, e, e) and (J, h, h),
-    h = (K+2) // 2 and e = K+2 - h; the field is (K+2, J) flattened.  A
-    solve folds the right-hand side into the top levels of b + F b and
-    b - F b, transforms both with one DST, solves each half mode by mode
-    and unfolds.  With ``invert`` the halves are inverted once and every
-    solve is a batched matrix-vector product per half; without it each
-    solve factors them again, which is cheaper for a single solve.
+    ``band`` is the upper band of W_y M_m over all modes in LAPACK ``pb``
+    storage, W_y the trapezoid level weights that make each block
+    symmetric (``operators.modal_band``, ``operators.level_weights``).  It
+    is factored once by banded Cholesky, and a solve scales b by W_y,
+    transforms it with one DST, runs one banded solve over all modes and
+    transforms back: the FFT-and-band direct solver of Hockney (1965) and
+    Buzbee, Golub & Nielson (1970).  A band that is not positive definite
+    raises SolveError.
     """
 
-    def __init__(self, halves: tuple[np.ndarray, np.ndarray], invert: bool = True):
-        even, odd = halves
-        self._h = odd.shape[1]
-        self._shape = (even.shape[1] + self._h, even.shape[0])
-        self._invert = invert
-        # the even and odd parts are (b +- F b) / 2; the exact factor 1/2
-        # rides on the inverses, or on the solutions without them
-        self._halves = tuple(0.5 * np.linalg.inv(half) for half in halves) \
-            if invert else halves
+    def __init__(self, band: np.ndarray, grid: Grid):
+        self._shape = grid.shape
+        self._weights = level_weights(grid)[:, None]
+        self._factor, info = dpbtrf(band)
+        if info != 0:
+            mode, level = divmod(info - 1, grid.K + 2)
+            raise SolveError(f"modal block of x mode {mode + 1} is not positive "
+                             f"definite (banded Cholesky stopped at level {level})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        h = self._h
-        e = self._shape[0] - h
-        b = rhs.reshape(self._shape)
-        folded = np.concatenate((b[:e] + b[::-1][:e], b[:h] - b[::-1][:h]))
-        modes = scipy.fft.dst(folded, type=1, axis=1, norm="ortho").T[:, :, None]
-        parts = (modes[:, :e], modes[:, e:])
-        if self._invert:
-            parts = [np.matmul(half, part) for half, part in zip(self._halves, parts)]
-        else:
-            parts = [0.5 * np.linalg.solve(half, part)
-                     for half, part in zip(self._halves, parts)]
-        solved = scipy.fft.idst(np.concatenate(parts, axis=1)[:, :, 0].T, type=1,
-                                axis=1, norm="ortho")
-        even, odd = solved[:e], solved[e:]
-        # even[h:] is the middle level of an odd K+2, empty for an even one
-        return np.concatenate((even[:h] + odd, even[h:], (even[:h] - odd)[::-1])).ravel()
+        b = rhs.reshape(self._shape) * self._weights
+        modes = scipy.fft.dst(b, type=1, axis=1, norm="ortho").T.reshape(-1, 1)
+        x, _ = dpbtrs(self._factor, modes)
+        return scipy.fft.idst(x.reshape(self._shape[::-1]).T, type=1, axis=1,
+                              norm="ortho").ravel()
 
 
 def _norm(v: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Implicit time marching with the constant system matrix inverted once,
+"""Implicit time marching with the constant system matrix factored once,
 mode by mode.
 
 One step solves
@@ -14,13 +14,12 @@ run is non-increasing after the start-up step.
 
 The orthonormal DST-I along x diagonalizes the hinged x second difference,
 and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
-J independent (K+2) x (K+2) systems, one per x sine mode (Lynch, Rice &
-Thomas 1964).  The plate is symmetric under y -> -y, so each of them
-splits again into an even and an odd half of about (K+2)/2 levels.  The
-halves' inverses are formed once per ``FactorizedSystem``, which any
-number of runs can march on; each solve is still checked
-against the residual contract, with M x formed as x + dt^2/2 (B x) from the
-sparse B, and that B x is the next step's B U^n.
+J independent pentadiagonal (K+2) x (K+2) systems, one per x sine mode
+(Lynch, Rice & Thomas 1964), which the trapezoid y weights make symmetric
+positive definite.  One banded Cholesky factor of all of them is formed
+per ``FactorizedSystem``, which any number of runs can march on; each
+solve is still checked against the residual contract, with M x formed as
+x + dt^2/2 (B x) from the sparse B, and that B x is the next step's B U^n.
 
 The feedback g is evaluated on the collar's nodes only
 (``DampingField.nodes``), since a is zero off the collar.  The terms of a
@@ -42,7 +41,7 @@ from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import DampingField, ModelConfig, damping_mask, eval_feedback
 from .operators import (SparseOperator, assemble_bilaplacian, assemble_dxx,
-                        modal_blocks)
+                        level_weights, modal_band)
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,13 @@ def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet
 
 
 class FactorizedSystem:
-    """M = I + dt^2/2 * ops.bilaplacian, solved in x sine modes and y parity.
+    """M = I + dt^2/2 * ops.bilaplacian, solved in x sine modes.
 
-    The orthonormal DST-I along x splits M into one (K+2) x (K+2) block per
-    mode, and the plate's y -> -y symmetry splits each block into an even
-    and an odd half (``operators.modal_blocks`` of ``ops``).  The halves are
-    inverted once, so a solve is a fold into even and odd parts, two
-    transforms, one batched matrix-vector product per half and an unfold.
+    The orthonormal DST-I along x splits M into one pentadiagonal (K+2) x
+    (K+2) block per mode; scaled by the trapezoid level weights W_y, the
+    blocks are symmetric positive definite, and their band
+    (W_y + dt^2/2 ``operators.modal_band`` of ``ops``) is factored once by
+    banded Cholesky, so a solve is two transforms and one banded solve.
     Every solve is checked against the relative residual contract
     ``_direct.RTOL``, with M x formed as x + dt^2/2 (B x) from the sparse B;
     a miss raises SolveError.  ``solve`` returns that B x with x, so the
@@ -105,11 +104,10 @@ class FactorizedSystem:
             raise ShapeError(f"time step must be positive, got {dt}")
         self.ops = ops
         self.dt = dt
-        halves = modal_blocks(ops.grid, ops.sigma)
-        for half in halves:
-            half *= dt * dt / 2.0
-            half += np.eye(half.shape[1])
-        self._solver = ModalSolver(halves)
+        band = modal_band(ops.grid, ops.sigma)
+        band *= dt * dt / 2.0
+        band[2] += np.tile(level_weights(ops.grid), ops.grid.J)
+        self._solver = ModalSolver(band, ops.grid)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x with M x = rhs, and B x."""

@@ -7,8 +7,9 @@ reshapes the stencils in the first two and last two block rows.  Every y
 block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p).
 The bilaplacian is one such level polynomial (``_bilaplacian_levels``): its
 Kronecker sum is the sparse operator, and the DST-I in x evaluates it at
-each sine mode's Lx eigenvalue, one small block per mode, which the plate's
-y -> -y symmetry splits into an even and an odd half (``modal_blocks``).
+each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which the
+trapezoid y weights make symmetric; ``modal_band`` stacks the blocks' upper
+bands for one banded Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -186,46 +187,40 @@ def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
     return _finalize(_kron_sum(_bilaplacian_levels(grid, sigma), blocks))
 
 
-def _fold(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd halves of an n x n level matrix P with F P F = P, F the
-    level flip k -> n-1-k; h = n // 2 and e = n - h (the middle level of
-    an odd n joins the even half).
-
-    An even field is given by its top e levels, an odd one by its top h
-    levels (its middle level is zero); P maps each kind to itself, and on
-    those top levels it acts as
-
-        even[i, j] = P[i, j] + P[i, n-1-j]  (j < h),   even[i, h] = P[i, h]
-        odd[i, j]  = P[i, j] - P[i, n-1-j]
-    """
-    n = level.shape[0]
-    h = n // 2
-    e = n - h
-    mirrored = level[:, ::-1]
-    even = level[:e, :e].copy()
-    even[:, :h] += mirrored[:e, :h]
-    return even, level[:h, :h] - mirrored[:h, :h]
+def level_weights(grid: Grid) -> np.ndarray:
+    """The trapezoid y weights in units of dy, W_y: exactly 1/2 on the two
+    edge levels and 1 inside.  The discrete plate form is symmetric
+    (D B = B^T D), so W_y P_p is symmetric for every level matrix P_p of
+    ``_bilaplacian_levels``, up to the rounding of its entries."""
+    weights = np.ones(grid.K + 2)
+    weights[0] = weights[-1] = 0.5
+    return weights
 
 
-def modal_blocks(grid: Grid, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The bilaplacian in x sine modes and y parity: the even half, shape
-    (J, e, e), and the odd half, shape (J, h, h), with h = (K+2) // 2 and
-    e = K+2 - h; entry m - 1 of each acts on the levels of mode m.
+def modal_band(grid: Grid, sigma: float) -> np.ndarray:
+    """The bilaplacian in x sine modes, scaled by W_y (``level_weights``),
+    as one upper band in LAPACK ``pb`` storage: shape (3, J (K+2)), row
+    2 - d holding diagonal d, and index (m-1)(K+2) + k holding level k of
+    mode m.  Diagonals d > 0 are zero where they cross from one mode to the
+    next.
 
     The orthonormal DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2
     sin^2(m pi / (2(J+1))) on mode m, so mode m's block is the level
     polynomial of ``_bilaplacian_levels`` at mu = mu_m: P_0 + mu P_1 +
-    mu^2 P_2.  The plate is symmetric under y -> -y, so every P_p commutes
-    with the level flip and folds into an even and an odd half (``_fold``);
-    the polynomial is evaluated on each half.
+    mu^2 P_2, pentadiagonal in the levels.  W_y times it is symmetric
+    positive definite; the band holds its upper triangle, read from the
+    diagonals of the P_p.
     """
-    m = np.arange(1, grid.J + 1)[:, None, None]
+    n = grid.K + 2
+    m = np.arange(1, grid.J + 1)[:, None]
     mu = -4.0 / (grid.dx * grid.dx) * np.sin(m * np.pi / (2.0 * (grid.J + 1))) ** 2
-    folded = (_fold(p.toarray()) for p in _bilaplacian_levels(grid, sigma))
-    halves = []
-    for p0, p1, p2 in zip(*folded):
-        half = mu * p1
-        half += p0
-        half += mu * mu * p2
-        halves.append(half)
-    return tuple(halves)
+    weights = level_weights(grid)
+    levels = _bilaplacian_levels(grid, sigma)
+    band = np.zeros((3, grid.J, n))
+    for d in range(3):
+        p0, p1, p2 = (p.diagonal(d) for p in levels)
+        diagonal = mu * p1
+        diagonal += p0
+        diagonal += mu * mu * p2
+        band[2 - d, :, d:] = weights[:n - d] * diagonal
+    return band.reshape(3, -1)

@@ -211,20 +211,23 @@ def test_pipeline_deterministic_bytes(tmp_path):
 
 def test_csv_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     # the preset plate, whose 15,049-value reductions are long enough for
-    # OpenBLAS to split a dot product across threads
+    # OpenBLAS to split a dot product across threads, and the static
+    # snapshot of a 299 x 199 plate
     src = str(Path(bergerdeck.__file__).resolve().parents[1])
+    fine = tmp_path / "fine.cfg"
+    fine.write_text("[grid]\nJ = 299\nK = 199\n")
     digests = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "bergerdeck.cli", "run", "--preset", "fig6",
-             "--T", "0.5", "--out", str(out)],
-            capture_output=True, text=True, cwd=tmp_path, timeout=300,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
-        assert proc.returncode == 0, proc.stderr
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
-
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        for name, argv in (("run", ["run", "--preset", "fig6", "--T", "0.5"]),
+                           ("static", ["static", "--config", str(fine)])):
+            out = tmp_path / f"{name}-threads{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bergerdeck.cli", *argv, "--out", str(out)],
+                capture_output=True, text=True, cwd=tmp_path, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[:2] == digests[2:]
 
 
 def test_lambda1_does_not_depend_on_blas_thread_count(tmp_path):

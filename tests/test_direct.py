@@ -6,12 +6,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf
 
 from bergerdeck import build_grid, build_operators, sin_load, solve_static
 from bergerdeck._direct import ModalSolver, refine_solve
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
-from bergerdeck.operators import modal_blocks
+from bergerdeck.operators import level_weights, modal_band
 from oracles import dense_bilaplacian
 
 RTOL = 1e-10
@@ -104,9 +105,10 @@ def _plate(J, K, sigma, seed):
 
 
 def _shifted(grid, sigma, dt):
-    """The halves of I + dt^2/2 B."""
-    return tuple((dt * dt / 2.0) * half + np.eye(half.shape[1])
-                 for half in modal_blocks(grid, sigma))
+    """The band of W_y (I + dt^2/2 B)."""
+    band = (dt * dt / 2.0) * modal_band(grid, sigma)
+    band[2] += np.tile(level_weights(grid), grid.J)
+    return band
 
 
 def _gap(x, reference):
@@ -132,33 +134,54 @@ def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
     grid, ops, rhs = _plate(J, K, sigma, seed)
     B = ops.bilaplacian
     M = sp.identity(grid.n_dof, format="csr") + (dt * dt / 2.0) * B
-    _, residual = refine_solve(ModalSolver(_shifted(grid, sigma, dt)), M, rhs, RTOL)
+    solver = ModalSolver(_shifted(grid, sigma, dt), grid)
+    _, residual = refine_solve(solver, M, rhs, RTOL)
     assert residual <= RTOL
-    solver = ModalSolver(modal_blocks(grid, sigma), invert=False)
+    solver = ModalSolver(modal_band(grid, sigma), grid)
     _, residual = refine_solve(solver, B, rhs, RTOL, backward_scale=True)
     assert residual <= RTOL
 
 
-# --- the parity split on both kinds of level count -----------------------------
-# K+2 odd puts the middle level in the even half (e = h + 1); K+2 even
-# gives two halves of (K+2)/2 levels.
+# --- the band solver on both kinds of level count ------------------------------
 
-@pytest.mark.parametrize("invert", [True, False], ids=["inverted", "factored"])
 @pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(J=plates["J"], half_k=st.integers(min_value=2, max_value=7),
        sigma=plates["sigma"], dt=plates["dt"], seed=plates["seed"])
-def test_parity_solver_matches_splu_and_dense(odd_levels, invert, J, half_k,
-                                              sigma, dt, seed):
+def test_band_solver_matches_splu_and_dense(odd_levels, J, half_k, sigma, dt, seed):
     K = 2 * half_k + (1 if odd_levels else 0)
     grid, ops, rhs = _plate(J, K, sigma, seed)
     dense = dense_bilaplacian(J, K, grid.l, sigma)
-    cases = ((ops.bilaplacian, dense, modal_blocks(grid, sigma)),
+    cases = ((ops.bilaplacian, dense, modal_band(grid, sigma)),
              (sp.identity(grid.n_dof) + (dt * dt / 2.0) * ops.bilaplacian,
               np.eye(grid.n_dof) + (dt * dt / 2.0) * dense,
               _shifted(grid, sigma, dt)))
-    for matrix, dense_matrix, halves in cases:
-        assert (halves[0].shape[1] - halves[1].shape[1] == 1) == odd_levels
-        x = ModalSolver(halves, invert=invert).solve(rhs)
+    for matrix, dense_matrix, band in cases:
+        assert band.shape == (3, J * (K + 2)) and (K + 2) % 2 == odd_levels
+        x = ModalSolver(band, grid).solve(rhs)
         assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
         assert _gap(x, np.linalg.solve(dense_matrix, rhs)) <= 1e-10
+
+
+# --- the banded Cholesky factorization ------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(J=st.integers(min_value=2, max_value=7).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=3, max_value=12),
+       sigma=st.one_of(st.floats(min_value=1e-3, max_value=2e-3),
+                       st.floats(min_value=0.498, max_value=0.499)),
+       dt=plates["dt"])
+def test_band_factors_near_the_sigma_ends(J, K, sigma, dt):
+    # W_y B and W_y (I + dt^2/2 B) are positive definite in every mode
+    grid = build_grid(J, K, math.pi / 4)
+    for band in (modal_band(grid, sigma), _shifted(grid, sigma, dt)):
+        _, info = dpbtrf(band)
+        assert info == 0
+
+
+def test_band_not_positive_definite_raises():
+    grid = build_grid(5, 3, math.pi / 4)
+    band = modal_band(grid, 0.2)
+    band[2, 7] = -1.0  # the diagonal at level 2 of mode 2
+    with pytest.raises(SolveError, match="x mode 2 is not positive definite"):
+        ModalSolver(band, grid)

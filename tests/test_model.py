@@ -24,6 +24,13 @@ def test_piecewise_values():
     assert eval_feedback(kind, -2.0) == -8.0
 
 
+def test_piecewise_cube_matches_pow():
+    # the left branch is the product s * s * s, within 1 ulp of pow's s ** 3
+    s = -np.abs(np.random.default_rng(3).normal(scale=0.3, size=10_000))
+    cube = eval_feedback(Piecewise(), s)
+    np.testing.assert_allclose(cube, s ** 3, rtol=4.5e-16, atol=0.0)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=feedback_name)
 def test_zero_maps_to_zero(kind):
     assert eval_feedback(kind, 0.0) == 0.0

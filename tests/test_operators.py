@@ -14,7 +14,7 @@ from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, modal_blocks)
+                                  assemble_dy2, level_weights, modal_band)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
                      observed_orders)
@@ -279,26 +279,29 @@ def _dst(field):
 @settings(max_examples=25, deadline=None)
 @given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
        K=st.integers(min_value=3, max_value=31),
-       sigma=st.floats(min_value=1e-3, max_value=0.499),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_modal_blocks_reproduce_bilaplacian(J, K, sigma, seed):
-    # the top levels of the even and odd parts (v +- Fv)/2 of DST(B u), F
-    # the level flip, equal the halves applied to those of DST(u)
+       sigma=st.floats(min_value=1e-3, max_value=0.499))
+def test_modal_band_reproduces_bilaplacian(J, K, sigma):
+    # per mode, the symmetric matrix the band defines equals W_y times the
+    # DST block of B, entry by entry in both triangles
     grid = build_grid(J, K, math.pi / 4)
-    even, odd = modal_blocks(grid, sigma)
-    h = (K + 2) // 2
-    assert even.shape == (J, K + 2 - h, K + 2 - h) and odd.shape == (J, h, h)
-
-    def fold(v):
-        return (v + v[::-1])[:K + 2 - h] / 2.0, (v - v[::-1])[:h] / 2.0
-
-    u = np.random.default_rng(seed).normal(size=grid.shape)
-    lhs = fold(_dst((assemble_bilaplacian(grid, sigma) @ u.ravel()).reshape(grid.shape)))
-    modes = fold(_dst(u))
-    for side, half, part in zip(lhs, (even, odd), modes):
-        rhs = np.einsum("mkl,lm->km", half, part)
-        scale = np.abs(half).max() * np.abs(part).max()
-        assert np.abs(side - rhs).max() <= 1e-12 * scale
+    n = K + 2
+    band = modal_band(grid, sigma)
+    assert band.shape == (3, J * n)
+    sine = _dst(np.eye(J))  # orthonormal DST-I, symmetric
+    dense = assemble_bilaplacian(grid, sigma).toarray().reshape(n, J, n, J)
+    modal = np.einsum("mj,kjli,ip->kmlp", sine, dense, sine, optimize=True)
+    scale = np.abs(modal).max()
+    weights = level_weights(grid)
+    for m in range(J):
+        block = np.zeros((n, n))
+        for d in range(3):
+            diagonal = band[2 - d].reshape(J, n)[m]
+            assert np.all(diagonal[:d] == 0.0)  # no coupling across modes
+            block += np.diag(diagonal[d:], d)
+            if d:
+                block += np.diag(diagonal[d:], -d)
+        expected = weights[:, None] * modal[:, m, :, m]
+        assert np.abs(block - expected).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)
@@ -306,7 +309,7 @@ def test_modal_blocks_reproduce_bilaplacian(J, K, sigma, seed):
        K=st.integers(min_value=3, max_value=31),
        sigma=st.floats(min_value=1e-3, max_value=0.499))
 def test_bilaplacian_levels_commute_with_level_flip(J, K, sigma):
-    # the parity split of modal_blocks rests on F P F == P, bit for bit
+    # the plate's y -> -y symmetry: F P F == P, bit for bit
     grid = build_grid(J, K, math.pi / 4)
     for level in _bilaplacian_levels(grid, sigma):
         dense = level.toarray()
