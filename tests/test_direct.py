@@ -142,25 +142,30 @@ def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
     assert residual <= RTOL
 
 
-# --- the band solver on both kinds of level count ------------------------------
+# --- the band solver on both parities of the level count ----------------------
 
+# "factored" is the static system B, "inverted" the stepper's I + dt^2/2 B:
+# the ids keep the names of the two ways these systems were once solved.
+@pytest.mark.parametrize("stepper", [False, True], ids=["factored", "inverted"])
 @pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
 @settings(max_examples=30, deadline=None)
 @given(J=plates["J"], half_k=st.integers(min_value=2, max_value=7),
        sigma=plates["sigma"], dt=plates["dt"], seed=plates["seed"])
-def test_band_solver_matches_splu_and_dense(odd_levels, J, half_k, sigma, dt, seed):
+def test_parity_solver_matches_splu_and_dense(odd_levels, stepper, J, half_k,
+                                              sigma, dt, seed):
     K = 2 * half_k + (1 if odd_levels else 0)
     grid, ops, rhs = _plate(J, K, sigma, seed)
     dense = dense_bilaplacian(J, K, grid.l, sigma)
-    cases = ((ops.bilaplacian, dense, modal_band(grid, sigma)),
-             (sp.identity(grid.n_dof) + (dt * dt / 2.0) * ops.bilaplacian,
-              np.eye(grid.n_dof) + (dt * dt / 2.0) * dense,
-              _shifted(grid, sigma, dt)))
-    for matrix, dense_matrix, band in cases:
-        assert band.shape == (3, J * (K + 2)) and (K + 2) % 2 == odd_levels
-        x = ModalSolver(band, grid).solve(rhs)
-        assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
-        assert _gap(x, np.linalg.solve(dense_matrix, rhs)) <= 1e-10
+    if stepper:
+        matrix = sp.identity(grid.n_dof) + (dt * dt / 2.0) * ops.bilaplacian
+        dense_matrix = np.eye(grid.n_dof) + (dt * dt / 2.0) * dense
+        band = _shifted(grid, sigma, dt)
+    else:
+        matrix, dense_matrix, band = ops.bilaplacian, dense, modal_band(grid, sigma)
+    assert band.shape == (3, J * (K + 2)) and (K + 2) % 2 == odd_levels
+    x = ModalSolver(band, grid).solve(rhs)
+    assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
+    assert _gap(x, np.linalg.solve(dense_matrix, rhs)) <= 1e-10
 
 
 # --- the banded Cholesky factorization ------------------------------------------
