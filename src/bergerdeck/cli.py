@@ -92,7 +92,7 @@ def preset(name: str) -> RunConfig:
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     """Check what the library does not (time window, stride, paths,
-    finiteness), then run the library's checks on grid, weights, sigma,
+    snapshot file names, finiteness), then run the library's checks on grid, weights, sigma,
     model and collar; any failure becomes a ConfigError prefixed by
     ``where``."""
     def fail(message: str):
@@ -117,6 +117,14 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
                 or path != path.strip():
             fail(f"{key} path {path!r} must be one nonempty line without '#' "
                  f"or blanks at either end")
+    # a snapshot's file name keeps 6 significant digits of its time
+    written: dict[str, float] = {}
+    for t_req in cfg.snapshots:
+        name = _snapshot_path(cfg.csv, t_req)
+        if name in written:
+            fail(f"snapshot times {written[name]!r} and {t_req!r} would both "
+                 f"write {name!r}")
+        written[name] = t_req
     try:
         grid = build_grid(cfg.J, cfg.K, cfg.l)
         build_weights(grid)
@@ -184,6 +192,11 @@ def render_config(cfg: RunConfig) -> str:
 CSV_HEADER = "step,t,E_total,E_kinetic,E_hstar,E_px,E_sx,dissipated_cum"
 
 
+def _snapshot_path(csv: str, t: float) -> str:
+    """File of the field snapshot at time ``t`` of a run writing ``csv``."""
+    return f"{os.path.splitext(csv)[0]}_snapshot_t{t:g}.csv"
+
+
 def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
     """Deterministic CSV dump: 17 significant digits, LF newlines."""
     lines = [CSV_HEADER]
@@ -216,12 +229,6 @@ def read_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 _SVG_W, _SVG_H = 800, 500
 _MARGIN = {"left": 70, "right": 20, "top": 40, "bottom": 45}
-
-
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi == lo:
-        return [lo]
-    return list(np.linspace(lo, hi, count))
 
 
 def emit_svg_plot(records: list[EnergyRecord], path: str,
@@ -263,13 +270,13 @@ def emit_svg_plot(records: list[EnergyRecord], path: str,
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
         f'stroke="black" stroke-width="1"/>',
     ]
-    for tick in _ticks(x0, x1):
+    for tick in np.linspace(x0, x1, 6):
         px = sx(tick)
         parts.append(f'<line x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" '
                      f'y2="{bottom + 5}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{px:.2f}" y="{bottom + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{tick:.4g}</text>')
-    for tick in _ticks(y0, y1):
+    for tick in np.linspace(y0, y1, 6):
         py = sy(tick)
         parts.append(f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" '
                      f'y2="{py:.2f}" stroke="black" stroke-width="1"/>')
@@ -341,9 +348,8 @@ def _cmd_run(args) -> int:
     result = run_config(cfg)
     write_energy_csv(result.records, cfg.csv)
     grid = build_grid(cfg.J, cfg.K, cfg.l)
-    stem = os.path.splitext(cfg.csv)[0]
     for t_req, (_, field_vec) in result.snapshots.items():
-        dump_snapshot(field_vec, grid, f"{stem}_snapshot_t{t_req:g}.csv")
+        dump_snapshot(field_vec, grid, _snapshot_path(cfg.csv, t_req))
     if cfg.svg:
         emit_svg_plot(result.records, cfg.svg,
                       title=f"energy, feedback {feedback_name(cfg.feedback)}")
@@ -420,8 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add_common(p):
-        p.add_argument("--config", help="config document path")
-        p.add_argument("--preset", choices=PRESET_NAMES, help="named preset")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="config document path")
+        source.add_argument("--preset", choices=PRESET_NAMES, help="named preset")
 
     p_run = sub.add_parser("run", exit_on_error=False,
                            help="time-march an experiment and write energy CSV")

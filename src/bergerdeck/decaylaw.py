@@ -5,9 +5,10 @@ Decay of the damped plate is bounded by solutions of
 
     S'(t) + Hinv((1 - delta) S(t)) = 0,        S(0) = E(0),
 
-where Hinv is built from the feedback's growth order.  Closed forms exist
-for power-law and degenerate-exponential feedbacks; their constants c, c0
-are not computable a priori and stay as fit parameters.  Each law exposes
+where Hinv is built from the feedback's growth orders.  Closed forms exist
+for power-law feedbacks (exponential at order 1, otherwise one algebraic
+family) and for the degenerate exponential (logarithmic); their constants
+c, c0 are not computable a priori and stay as fit parameters.  Each law exposes
 the Hinv that solves its ODE exactly with the (1 - delta) factor absorbed
 into c.
 """
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import FitError, ParameterError, UnsupportedLawError
-from .model import (ExpDegenerate, FeedbackKind, Linear, Piecewise, Power,
-                    SqrtOdd)
+from .model import FeedbackKind
 
 
 # ---------------------------------------------------------------------------
@@ -47,47 +48,14 @@ class ExponentialLaw:
 
 
 @dataclass(frozen=True)
-class AlgebraicOriginLaw:
-    """Power-feedback decay for feedbacks that degenerate only at the origin.
-
-    For exponent theta < 1:  S(t) = [c (1-theta)/(2 theta) (t + c0)]^(-2 theta/(1-theta))
-    For exponent r > 1:      S(t) = [c (r-1)/2 (t + c0)]^(-2/(r-1))
-    """
-
-    exponent: float
-    c: float = 1.0
-    c0: float = 1.0
-
-    def __post_init__(self):
-        if self.exponent <= 0 or self.exponent == 1.0:
-            raise ParameterError(
-                f"algebraic law needs a positive exponent != 1, got {self.exponent}")
-        if self.c <= 0 or self.c0 <= 0:
-            raise ParameterError("algebraic law needs c > 0 and c0 > 0")
-
-    def _slope_power(self) -> tuple[float, float]:
-        e = self.exponent
-        if e < 1.0:
-            return self.c * (1.0 - e) / (2.0 * e), 2.0 * e / (1.0 - e)
-        return self.c * (e - 1.0) / 2.0, 2.0 / (e - 1.0)
-
-    def evaluate(self, t):
-        a, p = self._slope_power()
-        return (a * (np.asarray(t, dtype=float) + self.c0)) ** (-p)
-
-    def hinv(self, s):
-        e = self.exponent
-        power = (e + 1.0) / (2.0 * e) if e < 1.0 else (e + 1.0) / 2.0
-        return self.c * np.asarray(s, dtype=float) ** power
-
-
-@dataclass(frozen=True)
 class AlgebraicInfinityLaw:
-    """Power-feedback decay for feedbacks that degenerate only at infinity.
+    """Power-feedback decay, the one algebraic family.
 
-    Needs the velocity integrability index q > 2*max(exponent, 1).
-    For exponent theta < 1:  S(t) = [c (1-theta)/(q-2) (t + c0)]^(-(q-2)/(1-theta))
-    For exponent r > 1:      S(t) = [c (r-1)/(q-2r) (t + c0)]^(-(q-2r)/(r-1))
+    For a feedback of growth order theta != 1 degenerating at infinity,
+    with velocity integrability index q > 2 max(theta, 1):
+
+        p = (q - 2 max(theta, 1)) / |1 - theta|,
+        S(t) = [c/p (t + c0)]^(-p),    Hinv(s) = c s^(1 + 1/p).
     """
 
     exponent: float
@@ -106,21 +74,25 @@ class AlgebraicInfinityLaw:
         if self.c <= 0 or self.c0 <= 0:
             raise ParameterError("algebraic law needs c > 0 and c0 > 0")
 
-    def _slope_power(self) -> tuple[float, float]:
-        e, q = self.exponent, self.q
-        if e < 1.0:
-            return self.c * (1.0 - e) / (q - 2.0), (q - 2.0) / (1.0 - e)
-        return self.c * (e - 1.0) / (q - 2.0 * e), (q - 2.0 * e) / (e - 1.0)
+    @property
+    def _p(self) -> float:
+        return (self.q - 2.0 * max(self.exponent, 1.0)) / abs(1.0 - self.exponent)
 
     def evaluate(self, t):
-        a, p = self._slope_power()
-        return (a * (np.asarray(t, dtype=float) + self.c0)) ** (-p)
+        p = self._p
+        return (self.c / p * (np.asarray(t, dtype=float) + self.c0)) ** (-p)
 
     def hinv(self, s):
-        e, q = self.exponent, self.q
-        power = (q - e - 1.0) / (q - 2.0) if e < 1.0 \
-            else (q - e - 1.0) / (q - 2.0 * e)
-        return self.c * np.asarray(s, dtype=float) ** power
+        return self.c * np.asarray(s, dtype=float) ** (1.0 + 1.0 / self._p)
+
+
+class AlgebraicOriginLaw(AlgebraicInfinityLaw):
+    """Power-feedback decay for feedbacks that degenerate only at the origin:
+    the algebraic family at q = 2 (theta + 1), so p = 2 theta/(1 - theta)
+    for theta < 1 and p = 2/(theta - 1) for theta > 1."""
+
+    def __init__(self, exponent: float, c: float = 1.0, c0: float = 1.0):
+        super().__init__(exponent, 2.0 * (exponent + 1.0), c, c0)
 
 
 @dataclass(frozen=True)
@@ -144,34 +116,28 @@ class LogarithmicLaw:
         return self.c1 * s * s * np.exp(-self.c2 / s)
 
 
-DecayLaw = Union[ExponentialLaw, AlgebraicOriginLaw, AlgebraicInfinityLaw,
-                 LogarithmicLaw]
+DecayLaw = Union[ExponentialLaw, AlgebraicInfinityLaw, LogarithmicLaw]
 
 
 # ---------------------------------------------------------------------------
 # majorant machinery
 
+def _power_map(s, exponent: float, scale: float = 1.0):
+    return scale * np.asarray(s, dtype=float) ** exponent
+
+
 def construct_h(kind: FeedbackKind) -> Callable[[np.ndarray], np.ndarray]:
     """Concave majorant h with h(s g(s)) >= s^2 + g(s)^2 for |s| <= 1.
 
-    Closed forms cover the power-like catalog; the degenerate exponential
-    gets a numerically built least concave majorant with the same property.
+    A finite origin order theta gives 2 s^e with e = 2 min(theta, 1) /
+    (theta + 1); the degenerate exponential (infinite origin order) gets a
+    separately built concave majorant with the same property.
     """
-    if isinstance(kind, Linear):
-        return lambda s: 2.0 * np.asarray(s, dtype=float)
-    if isinstance(kind, (SqrtOdd, Power)):
-        theta = kind.order_at_origin
-        exponent = 2.0 * theta / (theta + 1.0) if theta < 1.0 else 2.0 / (theta + 1.0)
-        if theta == 1.0:
-            return lambda s: 2.0 * np.asarray(s, dtype=float)
-        return lambda s: 2.0 * np.asarray(s, dtype=float) ** exponent
-    if isinstance(kind, Piecewise):
-        r = kind.order_at_origin  # larger branch order; exponent 2/(r+1)
-        exponent = 2.0 / (r + 1.0)
-        return lambda s: 2.0 * np.asarray(s, dtype=float) ** exponent
-    if isinstance(kind, ExpDegenerate):
+    theta = kind.order_at_origin
+    if math.isinf(theta):
         return _expdeg_majorant()
-    raise UnsupportedLawError(f"no majorant construction for {kind!r}")
+    return partial(_power_map, exponent=2.0 * min(theta, 1.0) / (theta + 1.0),
+                   scale=2.0)
 
 
 def _expdeg_majorant() -> Callable[[np.ndarray], np.ndarray]:
@@ -214,10 +180,7 @@ def h_tilde(order: float, p0: float) -> Callable[[np.ndarray], np.ndarray]:
         raise ParameterError(
             f"index p0 = {p0} must exceed 2*max(order, 1) = {bound}")
     e = (p0 - bound) / (p0 - 1.0 - order)
-
-    def mapping(s):
-        return np.asarray(s, dtype=float) ** e
-
+    mapping = partial(_power_map, exponent=e)
     mapping.exponent = e
     return mapping
 
@@ -283,35 +246,22 @@ def predicted_law(kind: FeedbackKind, regime: str,
     """
     if regime not in ("origin", "infinity"):
         raise UnsupportedLawError(f"unknown regime {regime!r}")
-    if isinstance(kind, Linear):
-        return LawFamily("exponential", lambda c=1.0, s0=1.0: ExponentialLaw(c=c, s0=s0))
+    if math.isinf(kind.order_at_origin):  # the degenerate exponential
+        if regime == "infinity":
+            raise UnsupportedLawError(
+                "the degenerate exponential has no closed form at infinity")
+        return LawFamily("logarithmic",
+                         partial(LogarithmicLaw, c1=1.0, c2=1.0, c0=math.e))
     order = kind.order_at_origin if regime == "origin" else kind.order_at_infinity
-    if regime == "origin":
-        if isinstance(kind, ExpDegenerate):
-            return LawFamily(
-                "logarithmic",
-                lambda c1=1.0, c2=1.0, c0=math.e: LogarithmicLaw(c1=c1, c2=c2, c0=c0))
-        if order == 1.0:
-            return LawFamily("exponential",
-                             lambda c=1.0, s0=1.0: ExponentialLaw(c=c, s0=s0))
-        return LawFamily(
-            "algebraic-origin",
-            lambda c=1.0, c0=1.0, exponent=order: AlgebraicOriginLaw(
-                exponent=exponent, c=c, c0=c0))
-    # regime == "infinity"
-    if isinstance(kind, ExpDegenerate):
-        raise UnsupportedLawError(
-            "the degenerate exponential has no closed form at infinity")
     if order == 1.0:
-        return LawFamily("exponential",
-                         lambda c=1.0, s0=1.0: ExponentialLaw(c=c, s0=s0))
+        return LawFamily("exponential", partial(ExponentialLaw, c=1.0))
+    if regime == "origin":
+        return LawFamily("algebraic-origin", partial(AlgebraicOriginLaw, exponent=order))
     if p0 is None:
         raise UnsupportedLawError(
             "the infinity regime needs the integrability index p0")
-    return LawFamily(
-        "algebraic-infinity",
-        lambda c=1.0, c0=1.0, exponent=order, q=p0: AlgebraicInfinityLaw(
-            exponent=exponent, q=q, c=c, c0=c0))
+    return LawFamily("algebraic-infinity",
+                     partial(AlgebraicInfinityLaw, exponent=order, q=p0))
 
 
 # ---------------------------------------------------------------------------

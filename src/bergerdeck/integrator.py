@@ -9,8 +9,11 @@ One step solves
 with B the discrete bilaplacian, phi the nonlocal stretching coefficient,
 and V^n = (U^n - U^{n-1})/dt the backward-difference velocity that also
 feeds the damping term.  The averaged bilaplacian makes the scheme
-unconditionally stable and mildly dissipative; the measured energy of a
-run is non-increasing after the start-up step.
+unconditionally stable and dissipative at first order in dt; the measured
+energy of a run is non-increasing after the start-up step.  That
+dissipation is not small at the preset dt = 0.01: over T = 30 the scheme
+itself removes 0.43 of E0 under fig7, 0.63 under fig6 and 0.07 under fig8,
+and 0.91 under fig7 with no collar.
 
 The orthonormal DST-I along x diagonalizes the hinged x second difference,
 and every y block of B is a polynomial in it, so I + dt^2/2 B splits into

@@ -330,6 +330,28 @@ def test_main_unreachable_snapshot_exits_1(tmp_path, capsys, snapshots, named):
     assert not (tmp_path / "energy.csv").exists()
 
 
+def test_main_snapshot_file_collision_exits_1(tmp_path, capsys, monkeypatch):
+    # 6 significant digits name both files energy_snapshot_t100.csv, though
+    # at dt = 1e-4 the times fall on steps 1,000,001 and 1,000,004
+    import bergerdeck.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_config",
+                        lambda *args, **kwargs: pytest.fail("the run marched"))
+    cfg_path = _small_config_text(tmp_path, snapshots="100.0001,100.0004")
+    assert main(["run", "--config", cfg_path, "--dt", "1e-4", "--T", "101"]) == 1
+    err = capsys.readouterr().err
+    assert "100.0001" in err and "100.0004" in err
+    assert "energy_snapshot_t100.csv" in err
+    assert not (tmp_path / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "static", "lambda1"])
+def test_main_config_and_preset_together_exit_1(tmp_path, capsys, command):
+    cfg_path = _small_config_text(tmp_path)
+    assert main([command, "--config", cfg_path, "--preset", "fig6"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_main_run_without_steps_exits_1(tmp_path, capsys):
     out = tmp_path / "energy.csv"
     assert main(["run", "--preset", "static", "--out", str(out)]) == 1

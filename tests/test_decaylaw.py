@@ -118,6 +118,8 @@ ALL_LAWS = [
     AlgebraicInfinityLaw(exponent=0.5, q=4.0, c=1.1, c0=1.0),
     AlgebraicInfinityLaw(exponent=3.0, q=8.0, c=0.6, c0=2.0),
     LogarithmicLaw(c1=0.5, c2=2.0, c0=3.0),
+    AlgebraicOriginLaw(exponent=0.25, c=0.7, c0=1.2),
+    AlgebraicInfinityLaw(exponent=2.0, q=6.0, c=0.8, c0=1.5),
 ]
 
 
@@ -206,6 +208,91 @@ def test_predicted_infinity_needs_p0():
         predicted_law(ExpDegenerate(), "infinity", p0=8.0)
     with pytest.raises(UnsupportedLawError):
         predicted_law(Linear(), "sideways")
+
+
+# one row per (feedback, regime): the family predicted without p0 and with
+# p0 = 8, each as (family, law class, exponent, q) or the error's message
+_P0_ERR = "needs the integrability index p0"
+_EXPDEG_ERR = "no closed form at infinity"
+_EXP = ("exponential", "ExponentialLaw", None, None)
+PREDICTION_TABLE = [
+    (Linear(), "origin", _EXP, _EXP),
+    (Linear(), "infinity", _EXP, _EXP),
+    (SqrtOdd(), "origin", ("algebraic-origin", "AlgebraicOriginLaw", 0.5, None),
+     ("algebraic-origin", "AlgebraicOriginLaw", 0.5, None)),
+    (SqrtOdd(), "infinity", _P0_ERR,
+     ("algebraic-infinity", "AlgebraicInfinityLaw", 0.5, 8.0)),
+    (Power(0.5), "origin", ("algebraic-origin", "AlgebraicOriginLaw", 0.5, None),
+     ("algebraic-origin", "AlgebraicOriginLaw", 0.5, None)),
+    (Power(0.5), "infinity", _P0_ERR,
+     ("algebraic-infinity", "AlgebraicInfinityLaw", 0.5, 8.0)),
+    (Power(1.0), "origin", _EXP, _EXP),
+    (Power(1.0), "infinity", _EXP, _EXP),
+    (Power(3.0), "origin", ("algebraic-origin", "AlgebraicOriginLaw", 3.0, None),
+     ("algebraic-origin", "AlgebraicOriginLaw", 3.0, None)),
+    (Power(3.0), "infinity", _P0_ERR,
+     ("algebraic-infinity", "AlgebraicInfinityLaw", 3.0, 8.0)),
+    (Piecewise(), "origin", ("algebraic-origin", "AlgebraicOriginLaw", 3.0, None),
+     ("algebraic-origin", "AlgebraicOriginLaw", 3.0, None)),
+    (Piecewise(), "infinity", _P0_ERR,
+     ("algebraic-infinity", "AlgebraicInfinityLaw", 3.0, 8.0)),
+    (ExpDegenerate(), "origin", ("logarithmic", "LogarithmicLaw", None, None),
+     ("logarithmic", "LogarithmicLaw", None, None)),
+    (ExpDegenerate(), "infinity", _EXPDEG_ERR, _EXPDEG_ERR),
+]
+
+
+@pytest.mark.parametrize("kind, regime, without_p0, with_p0", PREDICTION_TABLE)
+def test_predicted_law_table(kind, regime, without_p0, with_p0):
+    for p0, expected in ((None, without_p0), (8.0, with_p0)):
+        if isinstance(expected, str):
+            with pytest.raises(UnsupportedLawError, match=expected):
+                predicted_law(kind, regime, p0)
+            continue
+        name, law_class, exponent, q = expected
+        fam = predicted_law(kind, regime, p0)
+        law = fam.instantiate()
+        assert (fam.name, type(law).__name__) == (name, law_class)
+        if exponent is not None:
+            assert law.exponent == exponent
+        if q is not None:
+            assert law.q == q
+
+
+# the majorant's values at x = 0, 1e-3, 0.125, 0.5, 1
+MAJORANT_VALUES = [
+    (Linear(), [0.0, 0.002, 0.25, 1.0, 2.0]),
+    (SqrtOdd(), [0.0, 0.020000000000000004, 0.5, 1.2599210498948732, 2.0]),
+    (Power(0.5), [0.0, 0.020000000000000004, 0.5, 1.2599210498948732, 2.0]),
+    (Power(1.0), [0.0, 0.002, 0.25, 1.0, 2.0]),
+    (Power(3.0), [0.0, 0.06324555320336758, 0.7071067811865476,
+                  1.4142135623730951, 2.0]),
+    (Piecewise(), [0.0, 0.06324555320336758, 0.7071067811865476,
+                   1.4142135623730951, 2.0]),
+    (ExpDegenerate(), [0.0, 1.4476482730108395, 4.8089834696298785,
+                       11.736320123663312, 20.972640247326623]),
+]
+
+
+@pytest.mark.parametrize("kind, values", MAJORANT_VALUES)
+def test_construct_h_values(kind, values):
+    h = construct_h(kind)
+    x = np.array([0.0, 1e-3, 0.125, 0.5, 1.0])
+    np.testing.assert_allclose(h(x), values, rtol=1e-14, atol=0.0)
+    assert [float(h(v)) for v in x] == pytest.approx(values, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.9, 1.5, 3.0])
+def test_origin_law_is_infinity_law_at_q(theta):
+    # the origin family is the infinity family at q = 2 (theta + 1)
+    c, c0 = 1.3, 0.7
+    origin = AlgebraicOriginLaw(exponent=theta, c=c, c0=c0)
+    infinity = AlgebraicInfinityLaw(exponent=theta, q=2.0 * (theta + 1.0),
+                                    c=c, c0=c0)
+    t = np.linspace(0.0, 40.0, 81)
+    s = np.geomspace(1e-6, 10.0, 41)
+    np.testing.assert_allclose(origin.evaluate(t), infinity.evaluate(t), rtol=1e-13)
+    np.testing.assert_allclose(origin.hinv(s), infinity.hinv(s), rtol=1e-13)
 
 
 # --- decay fitting ------------------------------------------------------------------
