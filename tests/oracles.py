@@ -18,7 +18,8 @@ from bergerdeck import build_weights, stretch_integral
 from bergerdeck.energy import gradient_gram, hstar_gram
 from bergerdeck.errors import ConfigError, ShapeError
 from bergerdeck.grid import Grid
-from bergerdeck.operators import (SparseOperator, _dy4_levels, _edge_rows,
+from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
+                                  _dy2_levels, _dy4_levels, _edge_rows,
                                   _finalize, _kron_sum, assemble_d2_1d,
                                   check_sigma)
 
@@ -296,3 +297,39 @@ def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
                 "match": d == s,
             })
     return report
+
+
+def kron_sum(levels: list, blocks: tuple) -> SparseOperator:
+    """sum_p kron(C_p, blocks[p]) as one ``sp.kron`` per term, CSR additions
+    in order of p, then ``_finalize``: the plain Kronecker-sum assembly, the
+    reference for the package's diagonal-wise one."""
+    terms = [sp.kron(c, b, format="csr") for c, b in zip(levels, blocks)]
+    return _finalize(sum(terms[1:], terms[0]))
+
+
+def kron_operators(grid: Grid, sigma: float) -> dict[str, SparseOperator]:
+    """Every Kronecker-sum operator of ``grid`` at ``sigma``, assembled by
+    ``kron_sum`` from the 1-D factors: bilaplacian, dy2, dxx, the x and y
+    first-difference maps and the u_xy map kron(D_y, D_x)."""
+    ny, J = grid.K + 2, grid.J
+    eye_x, eye_y = sp.identity(J, format="csr"), sp.identity(ny, format="csr")
+    lx = assemble_d2_1d(J, grid.dx)
+    off = np.full(J - 1, 1.0 / (2.0 * grid.dx))
+    d1 = sp.diags([-off, off], [-1, 1], format="csr")
+    inv_dy = 1.0 / grid.dy
+    dy1 = np.zeros((ny, ny))
+    for k in range(1, ny - 1):
+        dy1[k, k - 1], dy1[k, k + 1] = -0.5 * inv_dy, 0.5 * inv_dy
+    dy1[0, 0] = dy1[ny - 1, ny - 2] = -inv_dy
+    dy1[0, 1] = dy1[ny - 1, ny - 1] = inv_dy
+    x_map = kron_sum([eye_y], (d1,))
+    y_map = kron_sum([sp.csr_matrix(dy1)], (eye_x,))
+    return {
+        "bilaplacian": kron_sum(_bilaplacian_levels(grid, sigma),
+                                (eye_x, lx, lx @ lx)),
+        "dy2": kron_sum(_dy2_levels(grid, sigma), (eye_x, lx)),
+        "dxx": kron_sum([eye_y], (lx,)),
+        "x_map": x_map,
+        "y_map": y_map,
+        "cross_map": _finalize(y_map @ x_map),
+    }

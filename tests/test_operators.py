@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import build_grid
-from bergerdeck.energy import cross_derivative_map, y_derivative_map
+from bergerdeck.energy import (cross_derivative_map, x_derivative_map,
+                               y_derivative_map)
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
@@ -17,7 +18,7 @@ from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
                                   assemble_dy2, level_weights, modal_band)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
-                     observed_orders)
+                     kron_operators, observed_orders)
 
 
 # --- 1-d second difference ------------------------------------------------
@@ -263,11 +264,42 @@ def test_cross_term_commutes(tiny_grid):
 def test_csr_invariants(tiny_grid):
     for mat in (assemble_bilaplacian(tiny_grid, 0.2),
                 assemble_dy4(tiny_grid, 0.2),
-                assemble_dy2(tiny_grid, 0.2)):
+                assemble_dy2(tiny_grid, 0.2),
+                assemble_dxx(tiny_grid),
+                x_derivative_map(tiny_grid),
+                y_derivative_map(tiny_grid),
+                cross_derivative_map(tiny_grid)):
         assert np.all(mat.data != 0.0)
         for row in range(mat.shape[0]):
             cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
             assert np.all(np.diff(cols) > 0)
+
+
+# the package's assembly of each operator of ``oracles.kron_operators``
+ASSEMBLED = {
+    "bilaplacian": assemble_bilaplacian,
+    "dy2": assemble_dy2,
+    "dxx": lambda grid, sigma: assemble_dxx(grid),
+    "x_map": lambda grid, sigma: x_derivative_map(grid),
+    "y_map": lambda grid, sigma: y_derivative_map(grid),
+    "cross_map": lambda grid, sigma: cross_derivative_map(grid),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=1, max_value=15).map(lambda h: 2 * h + 1),
+       l=st.floats(min_value=0.05, max_value=5.0),
+       sigma=st.floats(min_value=1e-3, max_value=0.499))
+def test_operators_match_kron_oracle_bytes(J, K, l, sigma):
+    # indptr, indices and data, dtype and bytes, against sp.kron per term
+    grid = build_grid(J, K, l)
+    for name, oracle in kron_operators(grid, sigma).items():
+        mat = ASSEMBLED[name](grid, sigma)
+        for part in ("indptr", "indices", "data"):
+            ours, ref = getattr(mat, part), getattr(oracle, part)
+            assert ours.dtype == ref.dtype, (name, part)
+            assert ours.tobytes() == ref.tobytes(), (name, part)
 
 
 # --- x sine modes ---------------------------------------------------------------
@@ -339,8 +371,9 @@ def test_bilaplacian_matches_term_composition(J, K, sigma):
 
 # --- pinned bits ------------------------------------------------------------------
 
-# sha256 over indptr, indices and data on build_grid(21, 11, 0.7); the
-# byte-identical energy CSVs rest on these exact operator bits
+# sha256 over indptr, indices and data (a band: its float64 bytes) on
+# build_grid(21, 11, 0.7); the byte-identical energy CSVs rest on these
+# exact operator bits
 PINNED_BITS = {
     "dy2": (lambda g: assemble_dy2(g, 0.3),
             "62b64c5a1eaae571d8c149269afd0f50bca4c8a268213c2f6acbf74fc222981d"),
@@ -352,6 +385,12 @@ PINNED_BITS = {
               "6c27ba9a5f70b43781842ef572d3b0ed8d6834fb3d57ba3594af472b2e4d964e"),
     "cross_map": (cross_derivative_map,
                   "9bb66d4cfc5ecbd2b5c8f6ad2f38dc4e91867af44e2eebd52e49772160c348e0"),
+    "dxx": (assemble_dxx,
+            "4d6021af271fe2562302650151b5e3b49073afb8a92755179f3db4edacadb8b0"),
+    "x_map": (x_derivative_map,
+              "22cb7428245e84dfeed7c5cf8f131dae3ab2c8fb1555a220cbd4b4e442655c17"),
+    "modal_band": (lambda g: modal_band(g, 0.3),
+                   "7fff2ceb3dcaf1cad47922e3f2ada19ff718398850d7c04eb3d429f941afca83"),
 }
 
 
@@ -360,6 +399,10 @@ def test_operator_bits_are_pinned(name):
     build, expected = PINNED_BITS[name]
     mat = build(build_grid(21, 11, 0.7))
     digest = hashlib.sha256()
-    for arr, dtype in ((mat.indptr, "<i4"), (mat.indices, "<i4"), (mat.data, "<f8")):
-        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    if sp.issparse(mat):
+        for arr, dtype in ((mat.indptr, "<i4"), (mat.indices, "<i4"),
+                           (mat.data, "<f8")):
+            digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    else:
+        digest.update(np.ascontiguousarray(mat, dtype="<f8").tobytes())
     assert digest.hexdigest() == expected
