@@ -22,7 +22,7 @@ class ModalSolver:
 
     ``band`` is the upper band of W_y M_m over all modes in LAPACK ``pb``
     storage, W_y the trapezoid level weights that make each block
-    symmetric (``operators.modal_band``, ``operators.level_weights``).  It
+    symmetric (``OperatorSet.band``, ``operators.level_weights``).  It
     is factored once by banded Cholesky, and a solve scales b by W_y,
     transforms it with one DST, runs one banded solve over all modes and
     transforms back: the FFT-and-band direct solver of Hockney (1965) and
@@ -72,12 +72,13 @@ def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
     grids.
     """
     rhs_norm = max(_norm(rhs), 1e-300)
+    abs_matrix = abs(matrix) if backward_scale else None
 
     def residual_of(x: np.ndarray) -> tuple[np.ndarray, float]:
         residual_vec = rhs - matrix @ x
         scale = rhs_norm
         if backward_scale:
-            scale = max(rhs_norm, _norm(abs(matrix) @ np.abs(x)))
+            scale = max(rhs_norm, _norm(abs_matrix @ np.abs(x)))
         return residual_vec, _norm(residual_vec) / scale
 
     x = solver.solve(rhs)

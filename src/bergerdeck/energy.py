@@ -47,29 +47,35 @@ class EnergyRecord:
 # ---------------------------------------------------------------------------
 # difference maps
 
-def x_derivative_map(grid: Grid) -> SparseOperator:
-    """Centered first x-difference on the unknowns, hinged zeros at the ends."""
-    J = grid.J
-    inv2dx = 1.0 / (2.0 * grid.dx)
-    off = np.full(J - 1, inv2dx)
-    d1 = sp.diags([-off, off], [-1, 1], format="csr")
-    return _finalize(sp.kron(sp.identity(grid.K + 2, format="csr"), d1))
+def _centered_dx(grid: Grid) -> SparseOperator:
+    """Centered first difference of one level, hinged zeros at the ends."""
+    off = np.full(grid.J - 1, 1.0 / (2.0 * grid.dx))
+    return sp.diags([-off, off], [-1, 1])
 
 
-def y_derivative_map(grid: Grid) -> SparseOperator:
-    """First y-difference kron(D, I): centered inside, one-sided at the edges."""
+def _dy_levels(grid: Grid) -> list[sp.coo_matrix]:
+    """Level matrix D_y of the first y-difference, one-sided at the edges."""
     ny = grid.K + 2
     inv_dy = 1.0 / grid.dy
     rows = _band(range(1, ny - 1), ((-0.5 * inv_dy,), (0.0,), (0.5 * inv_dy,)))
     rows[0, 0] = rows[ny - 1, ny - 2] = (-inv_dy,)
     rows[0, 1] = rows[ny - 1, ny - 1] = (inv_dy,)
-    eye = sp.identity(grid.J, format="csr")
-    return _finalize(_kron_sum(_level_matrices(ny, rows), (eye,)))
+    return _level_matrices(ny, rows)
+
+
+def x_derivative_map(grid: Grid) -> SparseOperator:
+    """Centered first x-difference on the unknowns, kron(I, D_x)."""
+    return _kron_sum([sp.identity(grid.K + 2)], (_centered_dx(grid),))
+
+
+def y_derivative_map(grid: Grid) -> SparseOperator:
+    """First y-difference kron(D_y, I)."""
+    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
 
 
 def cross_derivative_map(grid: Grid) -> SparseOperator:
-    """u_xy map: centered x-difference followed by the y-difference above."""
-    return _finalize(y_derivative_map(grid) @ x_derivative_map(grid))
+    """u_xy map kron(D_y, D_x), each entry a single product."""
+    return _kron_sum(_dy_levels(grid), (_centered_dx(grid),))
 
 
 class PlateFormEvaluator:

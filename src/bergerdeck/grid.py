@@ -36,10 +36,6 @@ class Grid:
         """(levels, nodes per level) view of a flattened field."""
         return (self.K + 2, self.J)
 
-    def x_all(self) -> np.ndarray:
-        """x coordinates of every node j = 0..J+1, hinged ends included."""
-        return np.arange(self.J + 2) * self.dx
-
     def x_interior(self) -> np.ndarray:
         """x coordinates of the unknowns j = 1..J."""
         return np.arange(1, self.J + 1) * self.dx
@@ -74,26 +70,17 @@ def build_grid(J: int, K: int, l: float) -> Grid:
 class QuadratureWeights:
     """Quadrature weights over the rectangle.
 
-    ``wx`` holds composite-Simpson weights for every x-node 0..J+1 and sums
-    to pi; ``wy`` holds trapezoid weights for the levels 0..K+1 and sums to
-    2l.  ``cell`` holds one weight per unknown (flat layout).  To keep
-    constants exactly resolved on the unknown set, the Simpson end weights
-    are folded onto the first and last interior nodes in ``cell``; fields
-    that vanish at the hinged ends lose only O(dx^2) to the fold.
+    ``wy`` holds trapezoid weights for the levels 0..K+1 and sums to 2l.
+    ``cell`` holds one weight per unknown (flat layout): ``wy`` times the
+    composite-Simpson weights of the x-nodes 0..J+1.  To keep constants
+    exactly resolved on the unknown set, the Simpson end weights are folded
+    onto the first and last interior nodes; fields that vanish at the
+    hinged ends lose only O(dx^2) to the fold.
     """
 
-    wx: np.ndarray
     wy: np.ndarray
     cell: np.ndarray
     grid: Grid
-
-    def integrate_x(self, values: np.ndarray) -> float:
-        """Integrate samples given on all x-nodes 0..J+1 over (0, pi)."""
-        if values.shape != self.wx.shape:
-            raise SizingError(
-                f"expected {self.wx.shape[0]} x-samples, got {values.shape}"
-            )
-        return float(np.dot(self.wx, values))
 
     def integrate_cells(self, values: np.ndarray) -> float:
         """Integrate a flattened per-unknown field over the rectangle.
@@ -128,6 +115,6 @@ def build_weights(grid: Grid) -> QuadratureWeights:
     wx_dof[-1] += wx[-1]
     cell = np.outer(wy, wx_dof).ravel()
 
-    for arr in (wx, wy, cell):
+    for arr in (wy, cell):
         arr.setflags(write=False)
-    return QuadratureWeights(wx=wx, wy=wy, cell=cell, grid=grid)
+    return QuadratureWeights(wy=wy, cell=cell, grid=grid)

@@ -43,8 +43,8 @@ from .energy import EnergyRecord, PlateFormEvaluator
 from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import DampingField, ModelConfig, damping_mask, eval_feedback
-from .operators import (SparseOperator, assemble_bilaplacian, assemble_dxx,
-                        level_weights, modal_band)
+from .operators import (SparseOperator, assemble_dxx, assemble_plate,
+                        level_weights)
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,15 @@ class SimState:
 class OperatorSet:
     """A run's grid, Poisson ratio and damping collar and the operators
     assembled from them, read by the stepper, the static solve and the
-    energy evaluator."""
+    energy evaluator.  ``band``, read-only, is the bilaplacian's
+    ``operators.modal_band``, which the static solve and every
+    ``FactorizedSystem`` factor from."""
 
     grid: Grid
     sigma: float
     weights: QuadratureWeights
     bilaplacian: SparseOperator
+    band: np.ndarray
     dxx: SparseOperator
     damping: DampingField
 
@@ -80,8 +83,10 @@ class OperatorSet:
 def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
     """Assemble the operators of ``grid`` at ``sigma`` and lay out the
     collar of ``damping_width`` cells (0: no collar) on it."""
+    bilaplacian, band = assemble_plate(grid, sigma)
+    band.setflags(write=False)
     return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
-                       bilaplacian=assemble_bilaplacian(grid, sigma),
+                       bilaplacian=bilaplacian, band=band,
                        dxx=assemble_dxx(grid),
                        damping=damping_mask(grid, damping_width))
 
@@ -91,9 +96,9 @@ class FactorizedSystem:
 
     The orthonormal DST-I along x splits M into one pentadiagonal (K+2) x
     (K+2) block per mode; scaled by the trapezoid level weights W_y, the
-    blocks are symmetric positive definite, and their band
-    (W_y + dt^2/2 ``operators.modal_band`` of ``ops``) is factored once by
-    banded Cholesky, so a solve is two transforms and one banded solve.
+    blocks are symmetric positive definite, and their band W_y + dt^2/2
+    ``ops.band``, formed as a new array, is factored once by banded
+    Cholesky, so a solve is two transforms and one banded solve.
     Every solve is checked against the relative residual contract
     ``_direct.RTOL``, with M x formed as x + dt^2/2 (B x) from the sparse B;
     a miss raises SolveError.  ``solve`` returns that B x with x, so the
@@ -107,8 +112,7 @@ class FactorizedSystem:
             raise ShapeError(f"time step must be positive, got {dt}")
         self.ops = ops
         self.dt = dt
-        band = modal_band(ops.grid, ops.sigma)
-        band *= dt * dt / 2.0
+        band = ops.band * (dt * dt / 2.0)
         band[2] += np.tile(level_weights(ops.grid), ops.grid.J)
         self._solver = ModalSolver(band, ops.grid)
 

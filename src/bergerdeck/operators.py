@@ -4,9 +4,11 @@ Short edges (x = 0, pi) are hinged: u = u_xx = 0.  Long edges (y = -l, l)
 are free: u_yy + sigma*u_xx = 0 and u_yyy + (2 - sigma)*u_xxy = 0.  Ghost
 nodes outside the rectangle are eliminated with those identities, which
 reshapes the stencils in the first two and last two block rows.  Every y
-block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p).
-The bilaplacian is one such level polynomial (``_bilaplacian_levels``): its
-Kronecker sum is the sparse operator, and the DST-I in x evaluates it at
+block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p),
+and one assembler, ``_kron_sum``, writes every operator diagonal by diagonal
+from its 1-D factors' diagonals.  The bilaplacian is one level polynomial
+(``_bilaplacian_levels``), evaluated once per plate (``assemble_plate``):
+its Kronecker sum is the sparse operator, and the DST-I in x evaluates it at
 each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which the
 trapezoid y weights make symmetric; ``modal_band`` stacks the blocks' upper
 bands for one banded Cholesky factorization.
@@ -77,9 +79,7 @@ def assemble_d4_hinged_1d(n: int, h: float) -> SparseOperator:
 
 def assemble_dxx(grid: Grid) -> SparseOperator:
     """x second derivative on the flattened field (one block per level)."""
-    lx = assemble_d2_1d(grid.J, grid.dx)
-    eye = sp.identity(grid.K + 2, format="csr")
-    return _finalize(sp.kron(eye, lx, format="csr"))
+    return _kron_sum([sp.identity(grid.K + 2)], (assemble_d2_1d(grid.J, grid.dx),))
 
 
 def _level_matrices(ny: int, rows: dict) -> list[sp.coo_matrix]:
@@ -91,10 +91,34 @@ def _level_matrices(ny: int, rows: dict) -> list[sp.coo_matrix]:
             for c in coeffs.T]
 
 
+def _diagonals(matrix: sp.spmatrix) -> dict[int, np.ndarray]:
+    """{d: v, v[i] = matrix[i, i + d] or 0 outside} over the stored diagonals."""
+    m = sp.csr_matrix(matrix)
+    offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    return {d: np.pad(m.diagonal(d), (max(0, -d), max(0, d)))
+            for d in np.unique(offsets).tolist()}
+
+
 def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
-    """sum_p kron(C_p, blocks[p]) on the flat field, added in order of p."""
-    terms = [sp.kron(c, b, format="csr") for c, b in zip(levels, blocks)]
-    return sum(terms[1:], terms[0])
+    """sum_p kron(C_p, blocks[p]) on the flat field, from the factors'
+    diagonals: entry (k J + i, (k+e) J + i+d) sums the single products
+    C_p[k, k+e] blocks[p][i, i+d] in order of p, the bits of ``sp.kron``
+    terms added in order.  Exact zeros are dropped; each row's columns come
+    out sorted, since offset e J + d orders as (e, d) for |d| < J."""
+    n_x = blocks[0].shape[0]
+    sums: dict[int, np.ndarray] = {}
+    for level, block in zip(levels, blocks):
+        x_diagonals = _diagonals(block)
+        for e, c in _diagonals(level).items():
+            for d, x in x_diagonals.items():
+                term, key = np.multiply.outer(c, x).ravel(), e * n_x + d
+                sums[key] = sums[key] + term if key in sums else term
+    offsets = np.array(sorted(sums), dtype=np.int32)
+    values = np.array([sums[s] for s in offsets.tolist()])
+    keep = (values != 0.0).T  # (row, offset)
+    indptr = np.append(0, np.cumsum(keep.sum(axis=1, dtype=np.int32)))
+    cols = (np.arange(len(keep), dtype=np.int32) + offsets[:, None]).T[keep]
+    return SparseOperator((values.T[keep], cols, indptr), shape=(len(keep),) * 2)
 
 
 def _band(levels: range, stencil: tuple) -> dict:
@@ -122,8 +146,8 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
 
 def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
     """y second derivative on the flattened field: kron(T, I) + kron(E, Lx)."""
-    blocks = (sp.identity(grid.J, format="csr"), assemble_d2_1d(grid.J, grid.dx))
-    return _finalize(_kron_sum(_dy2_levels(grid, sigma), blocks))
+    blocks = (sp.identity(grid.J), assemble_d2_1d(grid.J, grid.dx))
+    return _kron_sum(_dy2_levels(grid, sigma), blocks)
 
 
 def _edge_rows(sigma: float, dy2: float) -> dict:
@@ -174,17 +198,22 @@ def _bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
     return [c0, c1 + 2.0 * t, sp.identity(grid.K + 2, format="csr") + c2 + 2.0 * e]
 
 
-def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
-    """Discrete bilaplacian D_x^4 + D_y^4 + 2 D_x^2 D_y^2 on the flat field:
-    sum_p kron(P_p, Lx^p) over the levels of ``_bilaplacian_levels``.
+def assemble_plate(grid: Grid, sigma: float) -> tuple[SparseOperator, np.ndarray]:
+    """The bilaplacian and its ``modal_band`` from one evaluation of the
+    level polynomial ``_bilaplacian_levels``: B = sum_p kron(P_p, Lx^p),
+    with Lx^2 the hinged fourth difference (equal to Lx @ Lx entrywise)."""
+    levels = _bilaplacian_levels(grid, sigma)
+    powers = (sp.identity(grid.J), assemble_d2_1d(grid.J, grid.dx),
+              assemble_d4_hinged_1d(grid.J, grid.dx))
+    return _kron_sum(levels, powers), modal_band(grid, levels)
 
-    Block pentadiagonal of size n_dof x n_dof with block size J.  The cross
-    term uses the boundary-modified y second derivative, so the free-edge
-    identities enter every term consistently.
-    """
-    lx = assemble_d2_1d(grid.J, grid.dx)
-    blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
-    return _finalize(_kron_sum(_bilaplacian_levels(grid, sigma), blocks))
+
+def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
+    """Discrete bilaplacian D_x^4 + D_y^4 + 2 D_x^2 D_y^2 on the flat field,
+    block pentadiagonal with block size J, as ``assemble_plate`` builds it.
+    The cross term uses the boundary-modified y second derivative, so the
+    free-edge identities enter every term consistently."""
+    return assemble_plate(grid, sigma)[0]
 
 
 def level_weights(grid: Grid) -> np.ndarray:
@@ -197,25 +226,24 @@ def level_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def modal_band(grid: Grid, sigma: float) -> np.ndarray:
-    """The bilaplacian in x sine modes, scaled by W_y (``level_weights``),
-    as one upper band in LAPACK ``pb`` storage: shape (3, J (K+2)), row
-    2 - d holding diagonal d, and index (m-1)(K+2) + k holding level k of
-    mode m.  Diagonals d > 0 are zero where they cross from one mode to the
-    next.
+def modal_band(grid: Grid, levels: list[SparseOperator]) -> np.ndarray:
+    """The bilaplacian of the level matrices ``levels`` of
+    ``_bilaplacian_levels`` in x sine modes, scaled by W_y
+    (``level_weights``), as one upper band in LAPACK ``pb`` storage: shape
+    (3, J (K+2)), row 2 - d holding diagonal d, and index (m-1)(K+2) + k
+    holding level k of mode m.  Diagonals d > 0 are zero where they cross
+    from one mode to the next.
 
     The orthonormal DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2
     sin^2(m pi / (2(J+1))) on mode m, so mode m's block is the level
-    polynomial of ``_bilaplacian_levels`` at mu = mu_m: P_0 + mu P_1 +
-    mu^2 P_2, pentadiagonal in the levels.  W_y times it is symmetric
-    positive definite; the band holds its upper triangle, read from the
-    diagonals of the P_p.
+    polynomial at mu = mu_m: P_0 + mu P_1 + mu^2 P_2, pentadiagonal in the
+    levels.  W_y times it is symmetric positive definite; the band holds
+    its upper triangle, read from the diagonals of the P_p.
     """
     n = grid.K + 2
     m = np.arange(1, grid.J + 1)[:, None]
     mu = -4.0 / (grid.dx * grid.dx) * np.sin(m * np.pi / (2.0 * (grid.J + 1))) ** 2
     weights = level_weights(grid)
-    levels = _bilaplacian_levels(grid, sigma)
     band = np.zeros((3, grid.J, n))
     for d in range(3):
         p0, p1, p2 = (p.diagonal(d) for p in levels)

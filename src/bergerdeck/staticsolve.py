@@ -11,7 +11,6 @@ import numpy as np
 from ._direct import ModalSolver, refine_solve
 from .errors import ShapeError, SolveError
 from .grid import Grid
-from .operators import modal_band
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import OperatorSet
@@ -23,10 +22,11 @@ def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:
     The orthonormal DST-I along x splits the operator into one
     pentadiagonal (K+2) x (K+2) block per sine mode, symmetric positive
     definite once scaled by the trapezoid level weights; all blocks are
-    factored as one band by banded Cholesky (``operators.modal_band`` of
-    ``ops``), and the solve is checked against the residual contract
-    ``_direct.RTOL`` on the sparse operator; a miss raises SolveError
-    carrying the achieved residual as a conditioning diagnostic.
+    factored as one band by banded Cholesky from ``ops.band``, the band
+    ``build_operators`` made with the operator, and the solve is checked
+    against the residual contract ``_direct.RTOL`` on the sparse operator;
+    a miss raises SolveError carrying the achieved residual as a
+    conditioning diagnostic.
     The contract is measured on the normwise backward-error scale: the
     operator carries 1/dx^4-sized entries, so on fine grids no float64
     vector satisfies ||A U - F|| <= RTOL ||F||.
@@ -34,7 +34,7 @@ def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:
     n = ops.grid.n_dof
     if f.shape != (n,):
         raise ShapeError(f"expected load of length {n}, got {f.shape}")
-    solver = ModalSolver(modal_band(ops.grid, ops.sigma), ops.grid)
+    solver = ModalSolver(ops.band, ops.grid)
     U, _ = refine_solve(solver, ops.bilaplacian, f, backward_scale=True)
     return U
 
@@ -61,40 +61,14 @@ class SeparableSolution:
     A: float
     B: float
 
-    def profile(self, y, order: int = 0):
-        """y-profile and its derivatives up to order 4."""
-        m, A, B = self.m, self.A, self.B
-        ch, sh = np.cosh(m * np.asarray(y, dtype=float)), np.sinh(m * np.asarray(y, dtype=float))
+    def profile(self, y):
+        """The y-profile c/m^4 + A cosh(my) + B y sinh(my)."""
         y = np.asarray(y, dtype=float)
-        if order == 0:
-            return self.c / m ** 4 + A * ch + B * y * sh
-        if order == 1:
-            return A * m * sh + B * (sh + m * y * ch)
-        if order == 2:
-            return A * m * m * ch + B * (2 * m * ch + m * m * y * sh)
-        if order == 3:
-            return A * m ** 3 * sh + B * (3 * m * m * sh + m ** 3 * y * ch)
-        if order == 4:
-            return A * m ** 4 * ch + B * (4 * m ** 3 * ch + m ** 4 * y * sh)
-        raise ValueError(f"profile derivative order {order} not available")
+        return self.c / self.m ** 4 + self.A * np.cosh(self.m * y) \
+            + self.B * y * np.sinh(self.m * y)
 
     def __call__(self, x, y):
         return self.profile(y) * np.sin(self.m * np.asarray(x, dtype=float))
-
-    def biharmonic(self, x, y):
-        """Value of the bilaplacian of u at (x, y)."""
-        m = self.m
-        val = self.profile(y, 4) - 2 * m * m * self.profile(y, 2) \
-            + m ** 4 * self.profile(y)
-        return val * np.sin(m * np.asarray(x, dtype=float))
-
-    def edge_residuals(self, x, y):
-        """(u_yy + sigma u_xx, u_yyy + (2 - sigma) u_xxy) at (x, y)."""
-        m, sg = self.m, self.sigma
-        sn = np.sin(m * np.asarray(x, dtype=float))
-        r1 = (self.profile(y, 2) - sg * m * m * self.profile(y)) * sn
-        r2 = (self.profile(y, 3) - (2 - sg) * m * m * self.profile(y, 1)) * sn
-        return r1, r2
 
     def sample(self, grid: Grid) -> np.ndarray:
         """Flattened samples on the unknowns of ``grid``."""

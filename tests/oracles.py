@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from bergerdeck import build_weights, stretch_integral
 from bergerdeck.energy import gradient_gram, hstar_gram
-from bergerdeck.errors import ConfigError, ShapeError
+from bergerdeck.errors import ConfigError, ShapeError, SizingError
 from bergerdeck.grid import Grid
 from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
                                   _dy2_levels, _dy4_levels, _edge_rows,
@@ -333,3 +333,61 @@ def kron_operators(grid: Grid, sigma: float) -> dict[str, SparseOperator]:
         "y_map": y_map,
         "cross_map": _finalize(y_map @ x_map),
     }
+
+
+def x_all(grid: Grid) -> np.ndarray:
+    """x coordinates of every node j = 0..J+1, hinged ends included."""
+    return np.arange(grid.J + 2) * grid.dx
+
+
+def simpson_x_weights(grid: Grid) -> np.ndarray:
+    """Composite-Simpson weights of the x-nodes 0..J+1 (odd J); they sum
+    to pi, and ``build_weights`` folds their ends into its cell weights."""
+    wx = np.full(grid.J + 2, 2.0)
+    wx[1::2] = 4.0
+    wx[0] = wx[-1] = 1.0
+    return wx * (grid.dx / 3.0)
+
+
+def integrate_x(grid: Grid, values: np.ndarray) -> float:
+    """Integrate samples given on all x-nodes 0..J+1 over (0, pi)."""
+    wx = simpson_x_weights(grid)
+    if values.shape != wx.shape:
+        raise SizingError(f"expected {wx.shape[0]} x-samples, got {values.shape}")
+    return float(np.dot(wx, values))
+
+
+def profile_derivative(solution, y, order: int):
+    """Derivative of order 1-4 of a ``SeparableSolution``'s y-profile
+    c/m^4 + A cosh(my) + B y sinh(my)."""
+    m, A, B = solution.m, solution.A, solution.B
+    y = np.asarray(y, dtype=float)
+    ch, sh = np.cosh(m * y), np.sinh(m * y)
+    if order == 1:
+        return A * m * sh + B * (sh + m * y * ch)
+    if order == 2:
+        return A * m * m * ch + B * (2 * m * ch + m * m * y * sh)
+    if order == 3:
+        return A * m ** 3 * sh + B * (3 * m * m * sh + m ** 3 * y * ch)
+    if order == 4:
+        return A * m ** 4 * ch + B * (4 * m ** 3 * ch + m ** 4 * y * sh)
+    raise ValueError(f"profile derivative order {order} not available")
+
+
+def biharmonic(solution, x, y):
+    """Value of the bilaplacian of a ``SeparableSolution`` at (x, y)."""
+    m = solution.m
+    val = profile_derivative(solution, y, 4) \
+        - 2 * m * m * profile_derivative(solution, y, 2) + m ** 4 * solution.profile(y)
+    return val * np.sin(m * np.asarray(x, dtype=float))
+
+
+def edge_residuals(solution, x, y):
+    """(u_yy + sigma u_xx, u_yyy + (2 - sigma) u_xxy) of a
+    ``SeparableSolution`` at (x, y)."""
+    m, sg = solution.m, solution.sigma
+    sn = np.sin(m * np.asarray(x, dtype=float))
+    r1 = (profile_derivative(solution, y, 2) - sg * m * m * solution.profile(y)) * sn
+    r2 = (profile_derivative(solution, y, 3)
+          - (2 - sg) * m * m * profile_derivative(solution, y, 1)) * sn
+    return r1, r2

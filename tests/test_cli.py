@@ -603,3 +603,31 @@ def test_sweep_builds_each_plate_once_with_solo_bytes(tmp_path, monkeypatch,
     for name in files + ["decay_fits.csv"]:
         assert (tmp_path / "sweep" / name).read_bytes() == \
             (tmp_path / "solo" / name).read_bytes(), name
+
+
+def test_plate_evaluates_the_level_polynomial_and_band_once(monkeypatch):
+    import bergerdeck.cli as cli_mod
+    import bergerdeck.operators as operators
+
+    calls = {"_bilaplacian_levels": 0, "modal_band": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(operators, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(operators, name, counted)
+    system, u0 = cli_mod._plate(replace(preset("fig7"), J=21, K=11))
+    assert calls == {"_bilaplacian_levels": 1, "modal_band": 1}
+    assert u0.shape == (system.ops.grid.n_dof,)
+
+
+def test_static_solve_and_system_leave_the_shared_band_alone():
+    import bergerdeck.cli as cli_mod
+
+    grid = bergerdeck.build_grid(21, 11, math.pi / 4)
+    ops = cli_mod.build_operators(grid, 0.2, 2)
+    before = ops.band.tobytes()
+    assert not ops.band.flags.writeable
+    cli_mod.solve_static(bergerdeck.sin_load(grid, 50.0, 2), ops)
+    cli_mod.FactorizedSystem(ops, 0.01)
+    cli_mod.FactorizedSystem(ops, 0.5)
+    assert ops.band.tobytes() == before

@@ -12,7 +12,7 @@ from bergerdeck import build_grid, build_operators, sin_load, solve_static
 from bergerdeck._direct import ModalSolver, refine_solve
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
-from bergerdeck.operators import level_weights, modal_band
+from bergerdeck.operators import assemble_plate, level_weights
 from oracles import dense_bilaplacian
 
 RTOL = 1e-10
@@ -86,6 +86,33 @@ def test_backward_scale_residual_at_most_plain():
     assert scaled <= RTOL
 
 
+
+class _CountingAbs:
+    """A matrix whose ``abs`` is counted."""
+
+    def __init__(self, matrix):
+        self.matrix, self.abs_calls = matrix, 0
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    def __abs__(self):
+        self.abs_calls += 1
+        return abs(self.matrix)
+
+
+def test_backward_scale_forms_abs_once_per_call(system):
+    matrix, _, rhs = system
+    # the factors of 1.000001 M miss on the first solve, so the correction
+    # sweep runs and the residual is measured twice
+    lu = _CountingLU(spla.splu(sp.csc_matrix(1.000001 * matrix)))
+    counted = _CountingAbs(matrix)
+    x, residual = refine_solve(lu, counted, rhs, RTOL, backward_scale=True)
+    assert lu.solves == 2 and counted.abs_calls == 1
+    scale = max(np.linalg.norm(rhs), np.linalg.norm(abs(matrix) @ np.abs(x)))
+    assert residual == pytest.approx(np.linalg.norm(rhs - matrix @ x) / scale,
+                                     rel=1e-12)
+
 # --- modal solves against sparse LU ------------------------------------------
 # Two backward-stable solves of M x = b differ by up to about eps cond(M);
 # on the presets' half-width cond(B) passes 1e6 near K = 21, so the
@@ -106,7 +133,7 @@ def _plate(J, K, sigma, seed):
 
 def _shifted(grid, sigma, dt):
     """The band of W_y (I + dt^2/2 B)."""
-    band = (dt * dt / 2.0) * modal_band(grid, sigma)
+    band = (dt * dt / 2.0) * assemble_plate(grid, sigma)[1]
     band[2] += np.tile(level_weights(grid), grid.J)
     return band
 
@@ -137,7 +164,7 @@ def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
     solver = ModalSolver(_shifted(grid, sigma, dt), grid)
     _, residual = refine_solve(solver, M, rhs, RTOL)
     assert residual <= RTOL
-    solver = ModalSolver(modal_band(grid, sigma), grid)
+    solver = ModalSolver(assemble_plate(grid, sigma)[1], grid)
     _, residual = refine_solve(solver, B, rhs, RTOL, backward_scale=True)
     assert residual <= RTOL
 
@@ -161,7 +188,7 @@ def test_parity_solver_matches_splu_and_dense(odd_levels, stepper, J, half_k,
         dense_matrix = np.eye(grid.n_dof) + (dt * dt / 2.0) * dense
         band = _shifted(grid, sigma, dt)
     else:
-        matrix, dense_matrix, band = ops.bilaplacian, dense, modal_band(grid, sigma)
+        matrix, dense_matrix, band = ops.bilaplacian, dense, assemble_plate(grid, sigma)[1]
     assert band.shape == (3, J * (K + 2)) and (K + 2) % 2 == odd_levels
     x = ModalSolver(band, grid).solve(rhs)
     assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
@@ -179,14 +206,14 @@ def test_parity_solver_matches_splu_and_dense(odd_levels, stepper, J, half_k,
 def test_band_factors_near_the_sigma_ends(J, K, sigma, dt):
     # W_y B and W_y (I + dt^2/2 B) are positive definite in every mode
     grid = build_grid(J, K, math.pi / 4)
-    for band in (modal_band(grid, sigma), _shifted(grid, sigma, dt)):
+    for band in (assemble_plate(grid, sigma)[1], _shifted(grid, sigma, dt)):
         _, info = dpbtrf(band)
         assert info == 0
 
 
 def test_band_not_positive_definite_raises():
     grid = build_grid(5, 3, math.pi / 4)
-    band = modal_band(grid, 0.2)
+    band = assemble_plate(grid, 0.2)[1]
     band[2, 7] = -1.0  # the diagonal at level 2 of mode 2
     with pytest.raises(SolveError, match="x mode 2 is not positive definite"):
         ModalSolver(band, grid)

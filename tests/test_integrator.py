@@ -120,7 +120,8 @@ def test_step_free_recurrence(tiny_grid):
     zero = sp.csr_matrix((n, n))
     ops = OperatorSet(grid=tiny_grid, sigma=SIGMA,
                       weights=build_weights(tiny_grid), bilaplacian=zero,
-                      dxx=zero, damping=damping_mask(tiny_grid, 0))
+                      band=np.zeros((3, n)), dxx=zero,
+                      damping=damping_mask(tiny_grid, 0))
     sys = _IdentitySystem(ops, dt=0.5)
     rng = np.random.default_rng(0)
     u, up = rng.normal(size=n), rng.normal(size=n)

@@ -15,7 +15,7 @@ from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, level_weights, modal_band)
+                                  assemble_dy2, assemble_plate, level_weights)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
                      kron_operators, observed_orders)
@@ -317,7 +317,7 @@ def test_modal_band_reproduces_bilaplacian(J, K, sigma):
     # DST block of B, entry by entry in both triangles
     grid = build_grid(J, K, math.pi / 4)
     n = K + 2
-    band = modal_band(grid, sigma)
+    band = assemble_plate(grid, sigma)[1]
     assert band.shape == (3, J * n)
     sine = _dst(np.eye(J))  # orthonormal DST-I, symmetric
     dense = assemble_bilaplacian(grid, sigma).toarray().reshape(n, J, n, J)
@@ -389,7 +389,7 @@ PINNED_BITS = {
             "4d6021af271fe2562302650151b5e3b49073afb8a92755179f3db4edacadb8b0"),
     "x_map": (x_derivative_map,
               "22cb7428245e84dfeed7c5cf8f131dae3ab2c8fb1555a220cbd4b4e442655c17"),
-    "modal_band": (lambda g: modal_band(g, 0.3),
+    "modal_band": (lambda g: assemble_plate(g, 0.3)[1],
                    "7fff2ceb3dcaf1cad47922e3f2ada19ff718398850d7c04eb3d429f941afca83"),
 }
 

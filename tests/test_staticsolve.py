@@ -6,7 +6,7 @@ import pytest
 from bergerdeck import (analytic_oracle, build_grid, build_operators,
                         build_weights, sin_load, solve_static)
 from bergerdeck.errors import ShapeError
-from oracles import observed_orders
+from oracles import biharmonic, edge_residuals, observed_orders
 
 C, M, L, SIGMA = 50.0, 2, math.pi / 4, 0.2
 
@@ -21,7 +21,7 @@ def oracle():
 def test_oracle_edge_residuals(oracle):
     x = np.linspace(0.0, math.pi, 101)
     for y in (L, -L):
-        r1, r2 = oracle.edge_residuals(x, y)
+        r1, r2 = edge_residuals(oracle, x, y)
         assert np.max(np.abs(r1)) <= 1e-10
         assert np.max(np.abs(r2)) <= 1e-10
 
@@ -30,7 +30,7 @@ def test_oracle_solves_the_bending_equation(oracle):
     rng = np.random.default_rng(42)
     x = rng.uniform(0.0, math.pi, 500)
     y = rng.uniform(-L, L, 500)
-    residual = oracle.biharmonic(x, y) - C * np.sin(M * x)
+    residual = biharmonic(oracle, x, y) - C * np.sin(M * x)
     assert np.max(np.abs(residual)) <= 1e-9
 
 
