@@ -299,6 +299,61 @@ def free_edge_stencil_report(grid: Grid, sigma: float) -> list[dict]:
     return report
 
 
+def _band(levels: range, stencil: tuple) -> dict:
+    """``stencil`` centered on each row k in ``levels``: {(k, l): coefficient}."""
+    half = len(stencil) // 2
+    return {(k, k + j - half): c for k in levels for j, c in enumerate(stencil)}
+
+
+def _level_matrices(ny: int, rows: dict) -> list[sp.coo_matrix]:
+    """Split ``{(k, l): (c_0, c_1, ...)}`` into ny x ny level matrices C_p
+    with C_p[k, l] = c_p; zero coefficients are not stored."""
+    keys = np.array(list(rows))
+    coeffs = np.array(list(rows.values()))
+    return [sp.coo_matrix((c[c != 0.0], tuple(keys[c != 0.0].T)), shape=(ny, ny))
+            for c in coeffs.T]
+
+
+def sparse_dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+    """T and E of ``operators._dy2_levels`` as coefficient dicts split into
+    COO matrices: the construction the plain-array one replaced."""
+    ny = grid.K + 2
+    inv_dy2 = 1.0 / (grid.dy * grid.dy)
+    rows = _band(range(1, ny - 1),
+                 ((inv_dy2, 0.0), (-2.0 * inv_dy2, 0.0), (inv_dy2, 0.0)))
+    rows[0, 0] = rows[ny - 1, ny - 1] = (0.0, -sigma)
+    return _level_matrices(ny, rows)
+
+
+def sparse_dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+    """C_0, C_1, C_2 of ``operators._dy4_levels``, built as COO matrices."""
+    ny = grid.K + 2
+    rows = _band(range(2, ny - 2),
+                 tuple((c, 0.0, 0.0) for c in (1.0, -4.0, 6.0, -4.0, 1.0)))
+    for (k, level), c in _edge_rows(sigma, grid.dy * grid.dy).items():
+        rows[k, level] = rows[ny - 1 - k, ny - 1 - level] = c
+    return _level_matrices(ny, rows)
+
+
+def sparse_bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
+    """P_0, P_1, P_2 of ``operators._bilaplacian_levels`` in scipy CSR
+    arithmetic on the COO levels."""
+    dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
+    c0, c1, c2 = (c.tocsr() / dy4 for c in sparse_dy4_levels(grid, sigma))
+    t, e = sparse_dy2_levels(grid, sigma)
+    return [c0, c1 + 2.0 * t, sp.identity(grid.K + 2, format="csr") + c2 + 2.0 * e]
+
+
+def sparse_dy_levels(grid: Grid) -> list[sp.coo_matrix]:
+    """The level matrix D_y of the first y-difference, built as COO."""
+    ny = grid.K + 2
+    inv_dy = 1.0 / grid.dy
+    rows = _band(range(1, ny - 1), ((-0.5 * inv_dy,), (0.0,), (0.5 * inv_dy,)))
+    rows[0, 0] = rows[ny - 1, ny - 2] = (-inv_dy,)
+    rows[0, 1] = rows[ny - 1, ny - 1] = (inv_dy,)
+    return _level_matrices(ny, rows)
+
+
 def kron_sum(levels: list, blocks: tuple) -> SparseOperator:
     """sum_p kron(C_p, blocks[p]) as one ``sp.kron`` per term, CSR additions
     in order of p, then ``_finalize``: the plain Kronecker-sum assembly, the

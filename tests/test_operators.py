@@ -9,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import build_grid
-from bergerdeck.energy import (cross_derivative_map, x_derivative_map,
-                               y_derivative_map)
+from bergerdeck.energy import (_dy_levels, cross_derivative_map,
+                               x_derivative_map, y_derivative_map)
 from bergerdeck.errors import ParameterError, SizingError
-from bergerdeck.operators import (_bilaplacian_levels, assemble_bilaplacian,
+from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
+                                  _dy4_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
                                   assemble_dy2, assemble_plate, level_weights)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
-                     kron_operators, observed_orders)
+                     kron_operators, observed_orders,
+                     sparse_bilaplacian_levels, sparse_dy2_levels,
+                     sparse_dy4_levels, sparse_dy_levels)
 
 
 # --- 1-d second difference ------------------------------------------------
@@ -302,6 +305,36 @@ def test_operators_match_kron_oracle_bytes(J, K, l, sigma):
             assert ours.tobytes() == ref.tobytes(), (name, part)
 
 
+# each package level builder and the coefficient-dict, COO and CSR
+# construction it replaced
+LEVELS = {
+    "dy2": (_dy2_levels, sparse_dy2_levels),
+    "dy4": (_dy4_levels, sparse_dy4_levels),
+    "bilaplacian": (_bilaplacian_levels, sparse_bilaplacian_levels),
+    "dy": (lambda grid, sigma: _dy_levels(grid),
+           lambda grid, sigma: sparse_dy_levels(grid)),
+}
+
+
+def _entries(level) -> np.ndarray:
+    """The entries of a sparse or dense level matrix, zeros as +0.0."""
+    return sp.csr_matrix(level).toarray()
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=1, max_value=15).map(lambda h: 2 * h + 1),
+       l=st.floats(min_value=0.05, max_value=5.0),
+       sigma=st.floats(min_value=1e-3, max_value=0.499))
+def test_level_matrices_match_sparse_construction_bytes(J, K, l, sigma):
+    grid = build_grid(J, K, l)
+    for name, (build, reference) in LEVELS.items():
+        ours, ref = list(build(grid, sigma)), reference(grid, sigma)
+        assert len(ours) == len(ref), name
+        for p, (level, expected) in enumerate(zip(ours, ref)):
+            assert _entries(level).tobytes() == _entries(expected).tobytes(), (name, p)
+
+
 # --- x sine modes ---------------------------------------------------------------
 
 def _dst(field):
@@ -344,7 +377,7 @@ def test_bilaplacian_levels_commute_with_level_flip(J, K, sigma):
     # the plate's y -> -y symmetry: F P F == P, bit for bit
     grid = build_grid(J, K, math.pi / 4)
     for level in _bilaplacian_levels(grid, sigma):
-        dense = level.toarray()
+        dense = _entries(level)
         np.testing.assert_array_equal(dense[::-1, ::-1], dense)
 
 

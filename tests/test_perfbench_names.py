@@ -47,3 +47,28 @@ def test_probe_finds_every_name(instrument):
 
 def test_tracer_finds_every_layer(instrument):
     assert set(_absent(instrument.Tracer())) <= STALE
+
+
+def test_probe_sees_the_residual_checks_and_the_march(instrument, tmp_path):
+    # the static solve's residual, then the run's static solve and one per
+    # step after the bootstrap: T = 0.05 at dt = 0.01 is steps 2..5
+    from bergerdeck.cli import main
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text(f"[grid]\nJ = 21\nK = 11\n\n[time]\nT = 0.05\n\n"
+                      f"[output]\ncsv = {tmp_path / 'energy.csv'}\n")
+    probe = instrument.Probe()
+    probe.install()
+    seen = {}
+    try:
+        for command, extra in (("static", ["--out", str(tmp_path / "static.csv")]),
+                               ("run", [])):
+            probe.begin()
+            assert main([command, "--config", str(config), *extra]) == 0
+            seen[command] = probe.record
+    finally:
+        probe.uninstall()
+    assert probe.patches.absent == []
+    assert (seen["static"].residuals, seen["static"].marches) == (1, [])
+    assert [march.steps for march in seen["run"].marches] == [4]
+    assert seen["run"].residuals == 1 + 4
