@@ -6,13 +6,14 @@ from .model import (DampingField, ExpDegenerate, FeedbackKind, Linear,
                     ModelConfig, Piecewise, Power, SqrtOdd, damping_mask,
                     eval_feedback, feedback_from_name, feedback_name,
                     make_model, stretch_integral)
-from .operators import (assemble_bilaplacian, assemble_d2_1d,
-                        assemble_d4_hinged_1d, assemble_dxx, assemble_dy2)
+from .operators import (OperatorSet, assemble_bilaplacian, assemble_d2_1d,
+                        assemble_d4_hinged_1d, assemble_dxx, assemble_dy2,
+                        build_operators)
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
                      lambda1_estimate)
-from .integrator import (FactorizedSystem, OperatorSet, RunResult, SimState,
-                         bootstrap, build_operators, dump_snapshot, run, step)
+from .integrator import (FactorizedSystem, RunResult, SimState, bootstrap,
+                         dump_snapshot, run, step)
 from .decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw, DecayLaw,
                        ExponentialLaw, FitResult, LogarithmicLaw, construct_h,
                        fit_decay, h_tilde, ode_decay, predicted_law)

@@ -9,8 +9,7 @@ import scipy.fft
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveError
-from .grid import Grid
-from .operators import level_weights
+from .grid import Grid, level_weights
 
 RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
 

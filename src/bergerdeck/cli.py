@@ -21,11 +21,10 @@ from .energy import EnergyRecord, lambda1_estimate
 from .errors import (BergerdeckError, ConfigError, ConvergenceError,
                      NonFiniteError, PlotError, SolveError)
 from .grid import build_grid, build_weights
-from .integrator import (FactorizedSystem, RunResult, build_operators,
-                         dump_snapshot, run)
+from .integrator import FactorizedSystem, RunResult, dump_snapshot, run
 from .model import (FeedbackKind, Linear, damping_mask, feedback_from_name,
                     feedback_name, make_model)
-from .operators import check_sigma
+from .operators import build_operators, check_sigma
 from .staticsolve import sin_load, solve_static
 
 

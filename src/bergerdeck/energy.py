@@ -1,5 +1,6 @@
 """Discrete energy decomposition, the plate quadratic form, the dissipation
-ledger, and the embedding-constant estimator.
+ledger, and the embedding-constant estimator, all read through the
+difference maps of ``operators``.
 
 The total energy splits as
 
@@ -25,11 +26,12 @@ from ._direct import _norm
 from .errors import ConvergenceError, SequencingError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import ModelConfig, stretch_integral
-from .operators import (SparseOperator, _band, _finalize, _kron_sum,
-                        _level_matrices, assemble_dxx, assemble_dy2)
+from .operators import (OperatorSet, SparseOperator, _finalize, assemble_dxx,
+                        assemble_dy2, cross_derivative_map, x_derivative_map,
+                        y_derivative_map)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .integrator import LevelTerms, OperatorSet, SimState
+    from .integrator import LevelTerms, SimState
 
 
 @dataclass(frozen=True)
@@ -45,38 +47,7 @@ class EnergyRecord:
 
 
 # ---------------------------------------------------------------------------
-# difference maps
-
-def _centered_dx(grid: Grid) -> SparseOperator:
-    """Centered first difference of one level, hinged zeros at the ends."""
-    off = np.full(grid.J - 1, 1.0 / (2.0 * grid.dx))
-    return sp.diags([-off, off], [-1, 1])
-
-
-def _dy_levels(grid: Grid) -> list[sp.coo_matrix]:
-    """Level matrix D_y of the first y-difference, one-sided at the edges."""
-    ny = grid.K + 2
-    inv_dy = 1.0 / grid.dy
-    rows = _band(range(1, ny - 1), ((-0.5 * inv_dy,), (0.0,), (0.5 * inv_dy,)))
-    rows[0, 0] = rows[ny - 1, ny - 2] = (-inv_dy,)
-    rows[0, 1] = rows[ny - 1, ny - 1] = (inv_dy,)
-    return _level_matrices(ny, rows)
-
-
-def x_derivative_map(grid: Grid) -> SparseOperator:
-    """Centered first x-difference on the unknowns, kron(I, D_x)."""
-    return _kron_sum([sp.identity(grid.K + 2)], (_centered_dx(grid),))
-
-
-def y_derivative_map(grid: Grid) -> SparseOperator:
-    """First y-difference kron(D_y, I)."""
-    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
-
-
-def cross_derivative_map(grid: Grid) -> SparseOperator:
-    """u_xy map kron(D_y, D_x), each entry a single product."""
-    return _kron_sum(_dy_levels(grid), (_centered_dx(grid),))
-
+# plate form and records
 
 class PlateFormEvaluator:
     """Evaluates the plate quadratic form and energy records on the grid,

@@ -95,6 +95,14 @@ class QuadratureWeights:
         return float(np.einsum("i,i->", self.cell, values))
 
 
+def level_weights(grid: Grid) -> np.ndarray:
+    """The trapezoid y weights in units of dy, W_y: exactly 1/2 on the two
+    edge levels and 1 inside."""
+    weights = np.ones(grid.K + 2)
+    weights[0] = weights[-1] = 0.5
+    return weights
+
+
 def build_weights(grid: Grid) -> QuadratureWeights:
     """Simpson weights along x, trapezoid weights along y."""
     if (grid.J + 1) % 2 != 0:
@@ -107,8 +115,7 @@ def build_weights(grid: Grid) -> QuadratureWeights:
     wx[0] = wx[-1] = 1.0
     wx *= grid.dx / 3.0
 
-    wy = np.full(grid.K + 2, grid.dy)
-    wy[0] = wy[-1] = grid.dy / 2.0
+    wy = level_weights(grid) * grid.dy
 
     wx_dof = wx[1:-1].copy()
     wx_dof[0] += wx[0]

@@ -20,9 +20,11 @@ and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
 J independent pentadiagonal (K+2) x (K+2) systems, one per x sine mode
 (Lynch, Rice & Thomas 1964), which the trapezoid y weights make symmetric
 positive definite.  One banded Cholesky factor of all of them is formed
-per ``FactorizedSystem``, which any number of runs can march on; each
-solve is still checked against the residual contract, with M x formed as
-x + dt^2/2 (B x) from the sparse B, and that B x is the next step's B U^n.
+per ``FactorizedSystem`` from a plate's ``operators.OperatorSet`` (its
+sparse B and the modal band made with it), and any number of runs can
+march on it; each solve is still checked against the residual contract,
+with M x formed as x + dt^2/2 (B x) from the sparse B, and that B x is
+the next step's B U^n.
 
 The feedback g is evaluated on the collar's nodes only
 (``DampingField.nodes``), since a is zero off the collar.  The terms of a
@@ -41,10 +43,9 @@ from . import model as _model
 from ._direct import ModalSolver, refine_solve
 from .energy import EnergyRecord, PlateFormEvaluator
 from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
-from .grid import Grid, QuadratureWeights, build_weights
-from .model import DampingField, ModelConfig, damping_mask, eval_feedback
-from .operators import (SparseOperator, assemble_dxx, assemble_plate,
-                        level_weights)
+from .grid import Grid, level_weights
+from .model import ModelConfig, eval_feedback
+from .operators import OperatorSet, SparseOperator
 
 
 @dataclass(frozen=True)
@@ -61,34 +62,6 @@ class SimState:
     def velocity(self) -> np.ndarray:
         """Backward-difference velocity (u_curr - u_prev)/dt."""
         return (self.u_curr - self.u_prev) / self.dt
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """A run's grid, Poisson ratio and damping collar and the operators
-    assembled from them, read by the stepper, the static solve and the
-    energy evaluator.  ``band``, read-only, is the bilaplacian's
-    ``operators.modal_band``, which the static solve and every
-    ``FactorizedSystem`` factor from."""
-
-    grid: Grid
-    sigma: float
-    weights: QuadratureWeights
-    bilaplacian: SparseOperator
-    band: np.ndarray
-    dxx: SparseOperator
-    damping: DampingField
-
-
-def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
-    """Assemble the operators of ``grid`` at ``sigma`` and lay out the
-    collar of ``damping_width`` cells (0: no collar) on it."""
-    bilaplacian, band = assemble_plate(grid, sigma)
-    band.setflags(write=False)
-    return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
-                       bilaplacian=bilaplacian, band=band,
-                       dxx=assemble_dxx(grid),
-                       damping=damping_mask(grid, damping_width))
 
 
 class FactorizedSystem:

@@ -1,26 +1,32 @@
-"""Sparse difference operators for the plate bilaplacian.
+"""The plate's difference operators and the ``OperatorSet`` that carries them.
 
 Short edges (x = 0, pi) are hinged: u = u_xx = 0.  Long edges (y = -l, l)
 are free: u_yy + sigma*u_xx = 0 and u_yyy + (2 - sigma)*u_xxy = 0.  Ghost
 nodes outside the rectangle are eliminated with those identities, which
 reshapes the stencils in the first two and last two block rows.  Every y
-block is c0 I + c1 Lx + c2 Lx^2, so each y operator is sum_p kron(C_p, Lx^p),
-and one assembler, ``_kron_sum``, writes every operator diagonal by diagonal
-from its 1-D factors' diagonals.  The bilaplacian is one level polynomial
-(``_bilaplacian_levels``), evaluated once per plate (``assemble_plate``):
-its Kronecker sum is the sparse operator, and the DST-I in x evaluates it at
-each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which the
-trapezoid y weights make symmetric; ``modal_band`` stacks the blocks' upper
-bands for one banded Cholesky factorization.
+block is c0 I + c1 Lx + c2 Lx^2, so each operator on the flat field is
+sum_p kron(C_p, X_p): the C_p are dense (K+2) x (K+2) level matrices, the
+X_p sparse J x J x factors, and one assembler, ``_kron_sum``, writes every
+operator diagonal by diagonal from the factors' diagonals.  The bilaplacian
+is one level polynomial (``_bilaplacian_levels``), evaluated once per plate
+(``assemble_plate``): its Kronecker sum is the sparse operator, and the
+DST-I in x evaluates it at each sine mode's Lx eigenvalue, one
+pentadiagonal block per mode, which the trapezoid y weights make symmetric;
+``modal_band`` stacks the blocks' upper bands for one banded Cholesky
+factorization.  The first-difference maps the energy reads (u_x, u_y, u_xy)
+are Kronecker sums of the same kind.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, SizingError
-from .grid import Grid
+from .grid import Grid, QuadratureWeights, build_weights, level_weights
+from .model import DampingField, damping_mask
 
 # Operators are plain CSR matrices: sorted column indices within each row,
 # no explicitly stored zeros.
@@ -79,20 +85,12 @@ def assemble_d4_hinged_1d(n: int, h: float) -> SparseOperator:
 
 def assemble_dxx(grid: Grid) -> SparseOperator:
     """x second derivative on the flattened field (one block per level)."""
-    return _kron_sum([sp.identity(grid.K + 2)], (assemble_d2_1d(grid.J, grid.dx),))
+    return _kron_sum([np.eye(grid.K + 2)], (assemble_d2_1d(grid.J, grid.dx),))
 
 
-def _level_matrices(ny: int, rows: dict) -> list[sp.coo_matrix]:
-    """Split ``{(k, l): (c_0, c_1, ...)}`` into ny x ny level matrices C_p
-    with C_p[k, l] = c_p; zero coefficients are not stored."""
-    keys = np.array(list(rows))
-    coeffs = np.array(list(rows.values()))
-    return [sp.coo_matrix((c[c != 0.0], tuple(keys[c != 0.0].T)), shape=(ny, ny))
-            for c in coeffs.T]
-
-
-def _diagonals(matrix: sp.spmatrix) -> dict[int, np.ndarray]:
-    """{d: v, v[i] = matrix[i, i + d] or 0 outside} over the stored diagonals."""
+def _diagonals(matrix) -> dict[int, np.ndarray]:
+    """{d: v, v[i] = matrix[i, i + d] or 0 outside} over the diagonals that
+    hold a nonzero entry of ``matrix``, sparse or dense."""
     m = sp.csr_matrix(matrix)
     offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     return {d: np.pad(m.diagonal(d), (max(0, -d), max(0, d)))
@@ -121,13 +119,16 @@ def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
     return SparseOperator((values.T[keep], cols, indptr), shape=(len(keep),) * 2)
 
 
-def _band(levels: range, stencil: tuple) -> dict:
-    """``stencil`` centered on each row k in ``levels``: {(k, l): coefficient}."""
+def _stencil(ny: int, stencil: tuple, edge: int) -> np.ndarray:
+    """The ny x ny level matrix with ``stencil`` centered on each row, and
+    the ``edge`` rows at either end zero."""
     half = len(stencil) // 2
-    return {(k, k + j - half): c for k in levels for j, c in enumerate(stencil)}
+    out = sum(c * np.eye(ny, k=j - half) for j, c in enumerate(stencil))
+    out[:edge] = out[ny - edge:] = 0.0
+    return out
 
 
-def _dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+def _dy2_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     """Level matrices T, E of the y second derivative: D_y^2 = kron(T, I)
     + kron(E, Lx).
 
@@ -138,10 +139,9 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
     check_sigma(sigma)
     ny = grid.K + 2
     inv_dy2 = 1.0 / (grid.dy * grid.dy)
-    rows = _band(range(1, ny - 1),
-                 ((inv_dy2, 0.0), (-2.0 * inv_dy2, 0.0), (inv_dy2, 0.0)))
-    rows[0, 0] = rows[ny - 1, ny - 1] = (0.0, -sigma)
-    return _level_matrices(ny, rows)
+    edges = np.zeros((ny, ny))
+    edges[0, 0] = edges[-1, -1] = -sigma
+    return [_stencil(ny, (inv_dy2, -2.0 * inv_dy2, inv_dy2), 1), edges]
 
 
 def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
@@ -176,26 +176,27 @@ def _edge_rows(sigma: float, dy2: float) -> dict:
     }
 
 
-def _dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
+def _dy4_levels(grid: Grid, sigma: float) -> np.ndarray:
     """Level matrices C_0, C_1, C_2 of the y fourth difference, unscaled:
     D_y^4 = sum_p kron(C_p, Lx^p) / dy^4."""
     check_sigma(sigma)
     ny = grid.K + 2
-    rows = _band(range(2, ny - 2),
-                 tuple((c, 0.0, 0.0) for c in (1.0, -4.0, 6.0, -4.0, 1.0)))
+    levels = np.zeros((3, ny, ny))
+    levels[0] = _stencil(ny, (1.0, -4.0, 6.0, -4.0, 1.0), 2)
     for (k, level), c in _edge_rows(sigma, grid.dy * grid.dy).items():
-        rows[k, level] = rows[ny - 1 - k, ny - 1 - level] = c
-    return _level_matrices(ny, rows)
+        levels[:, k, level] = levels[:, ny - 1 - k, ny - 1 - level] = c
+    return levels
 
 
-def _bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
+def _bilaplacian_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p).  With
     D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E, Lx^2), they are
-    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E."""
+    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E, each
+    C_p/dy^4 formed as C_p * (1/dy^4)."""
     dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
-    c0, c1, c2 = (c.tocsr() / dy4 for c in _dy4_levels(grid, sigma))
+    c0, c1, c2 = _dy4_levels(grid, sigma) * (1.0 / dy4)
     t, e = _dy2_levels(grid, sigma)
-    return [c0, c1 + 2.0 * t, sp.identity(grid.K + 2, format="csr") + c2 + 2.0 * e]
+    return [c0, c1 + 2.0 * t, np.eye(grid.K + 2) + c2 + 2.0 * e]
 
 
 def assemble_plate(grid: Grid, sigma: float) -> tuple[SparseOperator, np.ndarray]:
@@ -216,17 +217,7 @@ def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
     return assemble_plate(grid, sigma)[0]
 
 
-def level_weights(grid: Grid) -> np.ndarray:
-    """The trapezoid y weights in units of dy, W_y: exactly 1/2 on the two
-    edge levels and 1 inside.  The discrete plate form is symmetric
-    (D B = B^T D), so W_y P_p is symmetric for every level matrix P_p of
-    ``_bilaplacian_levels``, up to the rounding of its entries."""
-    weights = np.ones(grid.K + 2)
-    weights[0] = weights[-1] = 0.5
-    return weights
-
-
-def modal_band(grid: Grid, levels: list[SparseOperator]) -> np.ndarray:
+def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
     """The bilaplacian of the level matrices ``levels`` of
     ``_bilaplacian_levels`` in x sine modes, scaled by W_y
     (``level_weights``), as one upper band in LAPACK ``pb`` storage: shape
@@ -237,8 +228,10 @@ def modal_band(grid: Grid, levels: list[SparseOperator]) -> np.ndarray:
     The orthonormal DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2
     sin^2(m pi / (2(J+1))) on mode m, so mode m's block is the level
     polynomial at mu = mu_m: P_0 + mu P_1 + mu^2 P_2, pentadiagonal in the
-    levels.  W_y times it is symmetric positive definite; the band holds
-    its upper triangle, read from the diagonals of the P_p.
+    levels.  The discrete plate form is symmetric (D B = B^T D), so W_y P_p
+    is symmetric up to the rounding of its entries, and W_y times the block
+    is symmetric positive definite; the band holds its upper triangle, read
+    from the diagonals of the P_p.
     """
     n = grid.K + 2
     m = np.arange(1, grid.J + 1)[:, None]
@@ -246,9 +239,66 @@ def modal_band(grid: Grid, levels: list[SparseOperator]) -> np.ndarray:
     weights = level_weights(grid)
     band = np.zeros((3, grid.J, n))
     for d in range(3):
-        p0, p1, p2 = (p.diagonal(d) for p in levels)
+        p0, p1, p2 = (np.diagonal(p, d) for p in levels)
         diagonal = mu * p1
         diagonal += p0
         diagonal += mu * mu * p2
         band[2 - d, :, d:] = weights[:n - d] * diagonal
     return band.reshape(3, -1)
+
+
+def _centered_dx(grid: Grid) -> SparseOperator:
+    """Centered first difference of one level, hinged zeros at the ends."""
+    off = np.full(grid.J - 1, 1.0 / (2.0 * grid.dx))
+    return sp.diags([-off, off], [-1, 1])
+
+
+def _dy_levels(grid: Grid) -> list[np.ndarray]:
+    """Level matrix D_y of the first y-difference, one-sided at the edges."""
+    inv_dy = 1.0 / grid.dy
+    dy = _stencil(grid.K + 2, (-0.5 * inv_dy, 0.0, 0.5 * inv_dy), 1)
+    dy[0, :2] = dy[-1, -2:] = (-inv_dy, inv_dy)
+    return [dy]
+
+
+def x_derivative_map(grid: Grid) -> SparseOperator:
+    """Centered first x-difference on the unknowns, kron(I, D_x)."""
+    return _kron_sum([np.eye(grid.K + 2)], (_centered_dx(grid),))
+
+
+def y_derivative_map(grid: Grid) -> SparseOperator:
+    """First y-difference kron(D_y, I)."""
+    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
+
+
+def cross_derivative_map(grid: Grid) -> SparseOperator:
+    """u_xy map kron(D_y, D_x), each entry a single product."""
+    return _kron_sum(_dy_levels(grid), (_centered_dx(grid),))
+
+
+@dataclass(frozen=True)
+class OperatorSet:
+    """A run's grid, Poisson ratio and damping collar and the operators
+    assembled from them, read by the stepper, the static solve and the
+    energy evaluator.  ``band``, read-only, is the bilaplacian's
+    ``modal_band``, which the static solve and every
+    ``integrator.FactorizedSystem`` factor from."""
+
+    grid: Grid
+    sigma: float
+    weights: QuadratureWeights
+    bilaplacian: SparseOperator
+    band: np.ndarray
+    dxx: SparseOperator
+    damping: DampingField
+
+
+def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
+    """Assemble the operators of ``grid`` at ``sigma`` and lay out the
+    collar of ``damping_width`` cells (0: no collar) on it."""
+    bilaplacian, band = assemble_plate(grid, sigma)
+    band.setflags(write=False)
+    return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
+                       bilaplacian=bilaplacian, band=band,
+                       dxx=assemble_dxx(grid),
+                       damping=damping_mask(grid, damping_width))

@@ -1,19 +1,17 @@
 """Static plate problem, solved in x sine modes with one banded Cholesky
-factor, and its separable closed-form reference solution."""
+factor from a plate's ``operators.OperatorSet``, and its separable
+closed-form reference solution."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._direct import ModalSolver, refine_solve
 from .errors import ShapeError, SolveError
 from .grid import Grid
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .integrator import OperatorSet
+from .operators import OperatorSet
 
 
 def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:

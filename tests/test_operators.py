@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import build_grid
-from bergerdeck.energy import (_dy_levels, cross_derivative_map,
-                               x_derivative_map, y_derivative_map)
+from bergerdeck.energy import (cross_derivative_map, x_derivative_map,
+                               y_derivative_map)
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
-                                  _dy4_levels, assemble_bilaplacian,
+                                  _dy4_levels, _dy_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
                                   assemble_dy2, assemble_plate, level_weights)
