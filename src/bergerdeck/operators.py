@@ -191,8 +191,9 @@ def _dy4_levels(grid: Grid, sigma: float) -> np.ndarray:
 def _bilaplacian_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p).  With
     D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E, Lx^2), they are
-    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E, each
-    C_p/dy^4 formed as C_p * (1/dy^4)."""
+    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E.  Each
+    C_p/dy^4 is C_p * (1/dy^4), whose rounding the pinned operator bits
+    carry."""
     dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
     c0, c1, c2 = _dy4_levels(grid, sigma) * (1.0 / dy4)
     t, e = _dy2_levels(grid, sigma)
@@ -256,9 +257,9 @@ def _centered_dx(grid: Grid) -> SparseOperator:
 def _dy_levels(grid: Grid) -> list[np.ndarray]:
     """Level matrix D_y of the first y-difference, one-sided at the edges."""
     inv_dy = 1.0 / grid.dy
-    dy = _stencil(grid.K + 2, (-0.5 * inv_dy, 0.0, 0.5 * inv_dy), 1)
-    dy[0, :2] = dy[-1, -2:] = (-inv_dy, inv_dy)
-    return [dy]
+    d_y = _stencil(grid.K + 2, (-0.5 * inv_dy, 0.0, 0.5 * inv_dy), 1)
+    d_y[0, :2] = d_y[-1, -2:] = (-inv_dy, inv_dy)
+    return [d_y]
 
 
 def x_derivative_map(grid: Grid) -> SparseOperator:
