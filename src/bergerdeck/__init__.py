@@ -12,8 +12,7 @@ from .operators import (OperatorSet, assemble_bilaplacian, assemble_d2_1d,
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
                      lambda1_estimate)
-from .integrator import (FactorizedSystem, RunResult, SimState, bootstrap,
-                         dump_snapshot, run, step)
+from .integrator import FactorizedSystem, RunResult, SimState, bootstrap, run, step
 from .decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw, DecayLaw,
                        ExponentialLaw, FitResult, LogarithmicLaw, construct_h,
                        fit_decay, h_tilde, ode_decay, predicted_law)

@@ -62,7 +62,8 @@ def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
 
     Near the float64 floor (the preset plate at dt >= 0.15) one correction
     sweep can bring a residual just above ``rtol`` under it; further sweeps
-    never did, so a second miss raises SolveError with the residual.
+    never did, so a second miss raises SolveError with the residual; a NaN
+    residual misses.
 
     With ``backward_scale`` the residual is measured against
     max(||rhs||, || |A| |x| ||), the normwise backward-error scale; float64
@@ -82,10 +83,10 @@ def refine_solve(solver, matrix, rhs: np.ndarray, rtol: float = RTOL,
 
     x = solver.solve(rhs)
     residual_vec, residual = residual_of(x)
-    if residual > rtol:
+    if not residual <= rtol:
         x = x + solver.solve(residual_vec)
         _, residual = residual_of(x)
-    if residual > rtol:
+    if not residual <= rtol:
         raise SolveError(f"solve residual {residual:.3e} exceeds {rtol:.1e} "
                          f"after one correction sweep", residual=residual)
     return x, residual

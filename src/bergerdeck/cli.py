@@ -1,5 +1,5 @@
-"""Configuration parsing, experiment presets, CSV/SVG output, and the
-command-line entry point.
+"""Configuration parsing, experiment presets, every output file (energy
+CSV, field snapshot, SVG plot), and the command-line entry point.
 
 Subcommands: run, static, decay-fit, sweep, lambda1.  Exit codes: 0 on
 success, 1 on configuration/validation errors, 2 on runtime or solver
@@ -19,9 +19,9 @@ import numpy as np
 from .decaylaw import fit_decay, fit_report_row
 from .energy import EnergyRecord, lambda1_estimate
 from .errors import (BergerdeckError, ConfigError, ConvergenceError,
-                     NonFiniteError, PlotError, SolveError)
-from .grid import build_grid, build_weights
-from .integrator import FactorizedSystem, RunResult, dump_snapshot, run
+                     NonFiniteError, PlotError, ShapeError, SolveError)
+from .grid import Grid, build_grid, build_weights
+from .integrator import FactorizedSystem, RunResult, run
 from .model import (FeedbackKind, Linear, damping_mask, feedback_from_name,
                     feedback_name, make_model)
 from .operators import build_operators, check_sigma
@@ -196,6 +196,15 @@ def _snapshot_path(csv: str, t: float) -> str:
     return f"{os.path.splitext(csv)[0]}_snapshot_t{t:g}.csv"
 
 
+def _write_lines(path: str, lines: list[str], what: str, error=ConfigError) -> None:
+    """Write ``lines``, each ended by LF; an OSError raises ``error``."""
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise error(f"cannot write {what} {path!r}: {exc}") from exc
+
+
 def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
     """Deterministic CSV dump: 17 significant digits, LF newlines."""
     lines = [CSV_HEADER]
@@ -203,11 +212,22 @@ def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
         lines.append(
             f"{rec.step},{rec.t:.17g},{rec.total:.17g},{rec.kinetic:.17g},"
             f"{rec.hstar:.17g},{rec.px:.17g},{rec.sx:.17g},{rec.dissipated_cum:.17g}")
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write energy CSV {path!r}: {exc}") from exc
+    _write_lines(path, lines, "energy CSV")
+
+
+def dump_snapshot(U: np.ndarray, grid: Grid, path: str) -> None:
+    """Write a flattened field as CSV rows (k, j, x, y, value), every float
+    to 17 significant digits; each x and y coordinate is formatted once."""
+    if U.shape != (grid.n_dof,):
+        raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")
+    heads = [f"{j},{x:.17g}," for j, x in enumerate(grid.x_interior().tolist(), 1)]
+    lines = ["k,j,x,y,value"]
+    for k, (y, values) in enumerate(zip(grid.y_levels().tolist(),
+                                        U.reshape(grid.shape).tolist())):
+        y_text = f"{y:.17g},"
+        lines += [f"{k},{head}{y_text}{value:.17g}"
+                  for head, value in zip(heads, values)]
+    _write_lines(path, lines, "snapshot")
 
 
 def read_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -284,11 +304,7 @@ def emit_svg_plot(records: list[EnergyRecord], path: str,
     parts.append(f'<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" '
                  f'points="{points}"/>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise PlotError(f"cannot write SVG {path!r}: {exc}") from exc
+    _write_lines(path, parts, "SVG", PlotError)
 
 
 # ---------------------------------------------------------------------------

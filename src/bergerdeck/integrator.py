@@ -28,9 +28,9 @@ the next step's B U^n.
 
 The feedback g is evaluated on the collar's nodes only
 (``DampingField.nodes``), since a is zero off the collar.  The terms of a
-field level -- B U^n, D_x^2 U^n, the stretch integral, V^n and a g(V^n) --
-are formed once (``LevelTerms``) and read by both the step off it and its
-energy record.
+field level -- B U^n, D_x^2 U^n, the stretch integral, V^n, a g(V^n) and
+the damping power <a g(V^n), V^n> -- are formed once (``LevelTerms``) and
+read by the step off it, its energy record and the damping ledger.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import numpy as np
 from . import model as _model
 from ._direct import ModalSolver, refine_solve
 from .energy import EnergyRecord, PlateFormEvaluator
-from .errors import ConfigError, NonFiniteError, ParameterError, ShapeError
-from .grid import Grid, level_weights
+from .errors import NonFiniteError, ParameterError, ShapeError
+from .grid import level_weights
 from .model import ModelConfig, eval_feedback
 from .operators import OperatorSet, SparseOperator
 
@@ -81,8 +81,8 @@ class FactorizedSystem:
     """
 
     def __init__(self, ops: OperatorSet, dt: float):
-        if dt <= 0:
-            raise ShapeError(f"time step must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ShapeError(f"time step must be positive and finite, got {dt}")
         self.ops = ops
         self.dt = dt
         band = ops.band * (dt * dt / 2.0)
@@ -111,8 +111,8 @@ class _ShiftedProduct:
 
 @dataclass(frozen=True)
 class LevelTerms:
-    """What the step off a field level u with velocity V and the energy
-    record of that level both read, each formed once."""
+    """What the step off a field level u with velocity V, the energy record
+    of that level and the damping ledger read, each formed once."""
 
     bu: np.ndarray        # B u
     uxx: np.ndarray       # D_x^2 u
@@ -120,6 +120,7 @@ class LevelTerms:
     velocity: np.ndarray  # V
     damping: np.ndarray   # a g(V)
     force: np.ndarray     # phi(u) D_x^2 u + a g(V)
+    power: float          # <a g(V), V>, the damping ledger's integrand
 
 
 def _damping_force(V: np.ndarray, model: ModelConfig,
@@ -150,7 +151,8 @@ def _level_terms(u: np.ndarray, v: np.ndarray, model: ModelConfig,
     damping = _damping_force(v, model, ops)
     force, uxx, q = _applied_force(u, damping, model, ops)
     return LevelTerms(bu=ops.bilaplacian @ u if bu is None else bu, uxx=uxx,
-                      q=q, velocity=v, damping=damping, force=force)
+                      q=q, velocity=v, damping=damping, force=force,
+                      power=ops.weights.integrate_cells(damping * v))
 
 
 def bootstrap(U0: np.ndarray, V0: np.ndarray, model: ModelConfig,
@@ -236,23 +238,19 @@ def run(model: ModelConfig, sys: FactorizedSystem, U0: np.ndarray,
     evaluator = PlateFormEvaluator(ops)
     state = bootstrap(U0, V0, model, sys)
 
-    def terms_and_power(s: SimState) -> tuple[LevelTerms, float]:
-        """The terms of the state's newest level and <a g(V), V>."""
-        terms = _level_terms(s.u_curr, s.velocity(), model, ops, s.bu)
-        return terms, ops.weights.integrate_cells(terms.damping * terms.velocity)
-
     ledger = 0.0
-    terms, power_prev = terms_and_power(state)
+    terms = _level_terms(state.u_curr, state.velocity(), model, ops)
     records = [evaluator.record(state, model, ledger, terms)]
     result = RunResult(records=records, final_state=state)
     if 1 in wanted_steps:
         result.snapshots[wanted_steps[1]] = (state.t, state.u_curr.copy())
 
     for n in range(2, n_steps + 1):
+        power_prev = terms.power
         state = step(state, sys, model, terms)
-        terms, power = terms_and_power(state)
-        ledger += dt * 0.5 * (power + power_prev)
-        power_prev = power
+        terms = _level_terms(state.u_curr, state.velocity(), model, ops,
+                             state.bu)
+        ledger += dt * 0.5 * (terms.power + power_prev)
         if (n - 1) % record_stride == 0 or n == n_steps:
             records.append(evaluator.record(state, model, ledger, terms))
         if n in wanted_steps:
@@ -260,21 +258,3 @@ def run(model: ModelConfig, sys: FactorizedSystem, U0: np.ndarray,
     result.final_state = state
     return result
 
-
-def dump_snapshot(U: np.ndarray, grid: Grid, path: str) -> None:
-    """Write a flattened field as CSV rows (k, j, x, y, value), every float
-    to 17 significant digits; each x and y coordinate is formatted once."""
-    if U.shape != (grid.n_dof,):
-        raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")
-    heads = [f"{j},{x:.17g}," for j, x in enumerate(grid.x_interior().tolist(), 1)]
-    lines = ["k,j,x,y,value"]
-    for k, (y, values) in enumerate(zip(grid.y_levels().tolist(),
-                                        U.reshape(grid.shape).tolist())):
-        y_text = f"{y:.17g},"
-        lines += [f"{k},{head}{y_text}{value:.17g}"
-                  for head, value in zip(heads, values)]
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc

@@ -230,7 +230,9 @@ class ModelConfig:
 
 
 def make_model(*, P: float, S: float, feedback: FeedbackKind) -> ModelConfig:
-    """Validate S."""
+    """Validate P and S."""
+    if not math.isfinite(P) or not math.isfinite(S):
+        raise ParameterError(f"P and S must be finite, got P = {P}, S = {S}")
     if S < 0:
         raise ParameterError(f"stretching constant S must be nonnegative, got {S}")
     return ModelConfig(P=float(P), S=float(S), feedback=feedback)

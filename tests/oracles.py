@@ -197,7 +197,7 @@ def observed_orders(errors: list[float]) -> list[float]:
 
 
 def dump_snapshot_per_node(U: np.ndarray, grid: Grid, path: str) -> None:
-    """Per-node reference for ``integrator.dump_snapshot``: three ``.17g``
+    """Per-node reference for ``cli.dump_snapshot``: three ``.17g``
     formats per row, coordinates read from the arrays each time."""
     if U.shape != (grid.n_dof,):
         raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")

@@ -393,6 +393,20 @@ def test_main_static_unwritable_snapshot_exits_1(tmp_path, capsys):
     assert "error: cannot write snapshot" in capsys.readouterr().err
 
 
+def test_main_run_unwritable_energy_csv_exits_1(tmp_path, capsys):
+    cfg_path = _small_config_text(tmp_path)
+    out = tmp_path / "missing" / "e.csv"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "error: cannot write energy CSV" in capsys.readouterr().err
+
+
+def test_main_run_unwritable_svg_exits_1(tmp_path, capsys):
+    cfg_path = _small_config_text(tmp_path)
+    svg = tmp_path / "missing" / "p.svg"
+    assert main(["run", "--config", cfg_path, "--svg", str(svg)]) == 1
+    assert "error: cannot write SVG" in capsys.readouterr().err
+
+
 def test_main_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -75,6 +75,17 @@ def test_missed_contract_raises_with_residual(system):
     assert err.value.residual == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_load_raises(bad):
+    # a NaN residual compares False against rtol, so it once passed the
+    # contract and the solve returned an all-NaN field
+    grid = build_grid(21, 11, 0.5)
+    load = sin_load(grid, 50.0, 2)
+    load[grid.n_dof // 2] = bad
+    with pytest.raises(SolveError, match="after one correction sweep"):
+        solve_static(load, build_operators(grid, 0.2, 0))
+
+
 def test_backward_scale_residual_at_most_plain():
     grid = build_grid(99, 49, 0.5)
     A = build_operators(grid, 0.2, 0).bilaplacian

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from bergerdeck import (ExpDegenerate, FactorizedSystem, Linear, OperatorSet,
                         Piecewise, PlateFormEvaluator, Power, SqrtOdd,
                         bootstrap, build_grid, build_operators, build_weights,
-                        damping_mask, dump_snapshot, make_model, run, sin_load,
-                        solve_static, step)
-from bergerdeck.cli import preset, run_config
+                        damping_mask, make_model, run, sin_load, solve_static,
+                        step)
+from bergerdeck.cli import dump_snapshot, preset, run_config
 from bergerdeck.errors import NonFiniteError, ParameterError, ShapeError
 from bergerdeck.model import eval_feedback
 from bergerdeck.integrator import SimState, _damping_force
@@ -101,6 +101,13 @@ def test_bootstrap_matches_dense_oracle(tiny_ops, tiny_sys, tiny_model,
 def test_bootstrap_shape_error(tiny_sys, tiny_model):
     with pytest.raises(ShapeError):
         bootstrap(np.zeros(3), np.zeros(3), tiny_model, tiny_sys)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf")])
+def test_system_refuses_bad_time_step(tiny_ops, dt):
+    # a NaN dt would factor a NaN band and fail later, inside run
+    with pytest.raises(ShapeError, match="time step"):
+        FactorizedSystem(tiny_ops, dt)
 
 
 # --- single step ---------------------------------------------------------------

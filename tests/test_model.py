@@ -207,3 +207,11 @@ def test_make_model_validates():
         make_model(P=0.0, S=-1.0, feedback=Linear())
     model = make_model(P=1e-3, S=1e-5, feedback=SqrtOdd())
     assert (model.P, model.S, model.feedback) == (1e-3, 1e-5, SqrtOdd())
+
+
+@pytest.mark.parametrize("P, S", [(math.nan, 1e-5), (1e-3, math.nan),
+                                  (math.inf, 1e-5), (1e-3, math.inf),
+                                  (-math.inf, 1e-5)])
+def test_make_model_refuses_non_finite_constants(P, S):
+    with pytest.raises(ParameterError, match="finite"):
+        make_model(P=P, S=S, feedback=Linear())
