@@ -1,17 +1,99 @@
-"""Direct solves checked against a residual contract."""
+"""Direct solves: LAPACK's banded Cholesky, behind the modal solver and
+``lambda1``'s folded pencil, and the residual contract every march and
+static solve is checked against."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 
 import numpy as np
+import scipy
 import scipy.fft
+import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveError
 from .grid import Grid, level_weights
 
 RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
+
+
+def upper_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """The upper triangle of a sparse symmetric matrix in LAPACK ``pb``
+    storage (``BandCholesky``), Fortran-ordered so that it can be
+    factored in place; kd is the widest stored upper offset."""
+    upper = sp.triu(matrix, format="coo")
+    kd = int((upper.col - upper.row).max())
+    band = np.zeros((kd + 1, matrix.shape[0]), order="F")
+    band[kd + upper.row - upper.col, upper.col] = upper.data
+    return band
+
+
+class BandCholesky:
+    """Banded Cholesky factor (Martin & Wilkinson 1965; LAPACK ``dpbtrf``)
+    of a symmetric positive definite matrix given by its upper band in
+    LAPACK ``pb`` storage, ``band[kd + i - j, j] = M[i, j]`` for
+    j - kd <= i <= j; ``solve`` runs ``dpbtrs`` on the factor.
+
+    A band that is not positive definite raises SolveError with the
+    ``describe(row)`` pair (the matrix, the place) of the first row whose
+    pivot fails.  With ``overwrite`` a Fortran-ordered band is factored in
+    place instead of copied.
+    """
+
+    def __init__(self, band: np.ndarray, describe, overwrite: bool = False):
+        self._factor, info = dpbtrf(band, overwrite_ab=overwrite)
+        if info != 0:
+            what, where = describe(info - 1)
+            raise SolveError(f"{what} is not positive definite "
+                             f"(banded Cholesky stopped at {where})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = dpbtrs(self._factor, rhs.reshape(-1, 1))
+        return x.ravel()
+
+
+@functools.cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that scipy's wheels ship and its LAPACK wrappers call
+    (already loaded, so this opens the same copy), or None where scipy
+    links another BLAS."""
+    root = os.path.dirname(scipy.__file__)
+    for path in sorted(glob.glob(root + ".libs/libscipy_openblas*")
+                       + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            return lib
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore its
+    thread count.  A banded Cholesky factor and solve at half-band 204
+    split into panels too small to gain from a second thread.  On a
+    shared 2-vCPU VM one thread was as fast; two threads stalled 0.8-1.2 s
+    on their first factor in 5 of 96 fresh processes (one thread: in none
+    of 86) and ran 2-4x slower beside a busy process.  The bits do not
+    depend on the count."""
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
 
 
 class ModalSolver:
@@ -22,7 +104,7 @@ class ModalSolver:
     ``band`` is the upper band of W_y M_m over all modes in LAPACK ``pb``
     storage, W_y the trapezoid level weights that make each block
     symmetric (``OperatorSet.band``, ``operators.level_weights``).  It
-    is factored once by banded Cholesky, and a solve scales b by W_y,
+    is factored once by ``BandCholesky``, and a solve scales b by W_y,
     transforms it with one DST, runs one banded solve over all modes and
     transforms back: the FFT-and-band direct solver of Hockney (1965) and
     Buzbee, Golub & Nielson (1970).  A band that is not positive definite
@@ -32,16 +114,17 @@ class ModalSolver:
     def __init__(self, band: np.ndarray, grid: Grid):
         self._shape = grid.shape
         self._weights = level_weights(grid)[:, None]
-        self._factor, info = dpbtrf(band)
-        if info != 0:
-            mode, level = divmod(info - 1, grid.K + 2)
-            raise SolveError(f"modal block of x mode {mode + 1} is not positive "
-                             f"definite (banded Cholesky stopped at level {level})")
+
+        def describe(row: int) -> tuple[str, str]:
+            mode, level = divmod(row, grid.K + 2)
+            return f"modal block of x mode {mode + 1}", f"level {level}"
+
+        self._factor = BandCholesky(band, describe)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = rhs.reshape(self._shape) * self._weights
-        modes = scipy.fft.dst(b, type=1, axis=1, norm="ortho").T.reshape(-1, 1)
-        x, _ = dpbtrs(self._factor, modes)
+        modes = scipy.fft.dst(b, type=1, axis=1, norm="ortho").T.ravel()
+        x = self._factor.solve(modes)
         return scipy.fft.idst(x.reshape(self._shape[::-1]).T, type=1, axis=1,
                               norm="ortho").ravel()
 

@@ -205,6 +205,16 @@ def _write_lines(path: str, lines: list[str], what: str, error=ConfigError) -> N
         raise error(f"cannot write {what} {path!r}: {exc}") from exc
 
 
+def _check_directory(path: str, what: str) -> None:
+    """Raise the writers' ``cannot write`` ConfigError if the directory
+    that ``path`` would be written into is missing or not writable, so a
+    command can fail before its work instead of after it."""
+    folder = os.path.dirname(path) or os.curdir
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {what} {path!r}: directory {folder!r} "
+                          f"is missing or not writable")
+
+
 def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
     """Deterministic CSV dump: 17 significant digits, LF newlines."""
     lines = [CSV_HEADER]
@@ -360,6 +370,10 @@ def _cmd_run(args) -> int:
     if round(cfg.T / cfg.dt) < 1:
         raise ConfigError(f"T = {cfg.T:g} rounds to 0 steps of dt = {cfg.dt:g}; "
                           f"run needs at least one step")
+    # before the march; the snapshots are written beside the CSV
+    _check_directory(cfg.csv, "energy CSV")
+    if cfg.svg:
+        _check_directory(cfg.svg, "SVG")
     result = run_config(cfg)
     write_energy_csv(result.records, cfg.csv)
     grid = build_grid(cfg.J, cfg.K, cfg.l)

@@ -1,6 +1,8 @@
 """Discrete energy decomposition, the plate quadratic form, the dissipation
 ledger, and the embedding-constant estimator, all read through the
-difference maps of ``operators``.
+difference maps of ``operators``.  The estimator folds its pencil onto
+the plate's even-even quarter, ordered level-fastest, and factors the
+folded plate Gram matrix once by banded Cholesky (``_direct``).
 
 The total energy splits as
 
@@ -20,9 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from ._direct import _norm
+from ._direct import BandCholesky, _norm, one_blas_thread, upper_band
 from .errors import ConvergenceError, SequencingError, ShapeError
 from .grid import Grid, QuadratureWeights, build_weights
 from .model import ModelConfig, stretch_integral
@@ -120,21 +121,21 @@ def dissipation_residual(records: list[EnergyRecord]) -> float:
 # ---------------------------------------------------------------------------
 # embedding constant
 
-def _even_fold(n: int) -> SparseOperator:
-    """The n x e map, e = n - n // 2, from the first e entries of a vector
-    even under the flip i -> n-1-i to the whole vector: column c has ones
-    in rows c and n-1-c, which are one row for the middle of an odd n."""
-    e = n - n // 2
-    rows = np.arange(n)
-    cols = np.minimum(rows, n - 1 - rows)
-    return _finalize(sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, e)))
-
-
 def parity_fold(grid: Grid) -> SparseOperator:
     """The fields even under both flips j -> J+1-j and k -> K+1-k, given
     by their values on the quarter j <= (J+1)/2, k <= (K+1)/2: the 0/1
-    map kron(_even_fold(K+2), _even_fold(J)) in the flat layout."""
-    return _finalize(sp.kron(_even_fold(grid.K + 2), _even_fold(grid.J)))
+    map from the quarter to the flat layout, node (k, j) read from the
+    quarter node (min(k, K+1-k), min(j, J+1-j)).  The quarter is ordered
+    level-fastest (k fastest), which keeps the half-band of a folded 2-D
+    stencil to twice the quarter's level count plus two (Cuthill & McKee
+    1969): 204 on 299 x 199, against 302 j-fastest."""
+    ny, J = grid.K + 2, grid.J
+    k, j = np.arange(ny), np.arange(J)
+    quarter = np.minimum(j, J - 1 - j)[None, :] * (ny - ny // 2) \
+        + np.minimum(k, ny - 1 - k)[:, None]
+    return _finalize(sp.csr_matrix(
+        (np.ones(grid.n_dof), (np.arange(grid.n_dof), quarter.ravel())),
+        shape=(grid.n_dof, (ny - ny // 2) * (J - J // 2))))
 
 
 def hstar_gram(grid: Grid, sigma: float,
@@ -158,6 +159,15 @@ def gradient_gram(grid: Grid, weights: QuadratureWeights) -> SparseOperator:
     return _finalize(sx.T @ W @ sx + sy.T @ W @ sy)
 
 
+def folded_grams(grid: Grid, sigma: float) -> tuple[SparseOperator, SparseOperator]:
+    """(F^T A F, F^T B F): the plate and gradient Gram matrices folded onto
+    the even-even quarter by F = ``parity_fold(grid)``."""
+    weights = build_weights(grid)
+    fold = parity_fold(grid)
+    return (_finalize(fold.T @ hstar_gram(grid, sigma, weights) @ fold),
+            _finalize(fold.T @ gradient_gram(grid, weights) @ fold))
+
+
 def lambda1_estimate(grid: Grid, sigma: float) -> float:
     """Smallest generalized eigenvalue of (plate form, gradient form).
 
@@ -174,31 +184,37 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
     from the difference maps applied to F: x^T A x cancels large entries,
     and that assembly's rounding moves the quotient by 7e-7 on 299 x 199.
 
-    F^T A F is positive definite, so its one-time factorization takes a
-    symmetric ordering and no pivoting.  Iteration stops when the Rayleigh
-    quotient is stationary to 1e-8 relative.  Norms and quotients are
-    fixed-order ``np.einsum`` sums, whose bits do not depend on the BLAS
-    thread count.
+    F^T A F is positive definite, and the level-fastest quarter keeps it
+    a band, so it is factored once by banded Cholesky on its upper band
+    (``_direct.upper_band``, ``_direct.BandCholesky``) and each sweep
+    runs one banded solve, both on one BLAS thread
+    (``_direct.one_blas_thread``).
+    Iteration stops when the Rayleigh quotient is
+    stationary to 1e-8 relative.  Norms and quotients are fixed-order
+    ``np.einsum`` sums, whose bits do not depend on the BLAS thread count.
     """
-    weights = build_weights(grid)
-    fold = parity_fold(grid)
-    A = _finalize(fold.T @ hstar_gram(grid, sigma, weights) @ fold)
-    B = _finalize(fold.T @ gradient_gram(grid, weights) @ fold)
-    lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    x = np.ones(A.shape[0])
-    x /= _norm(x)
-    rho_prev = math.inf
-    for _ in range(500):
-        y = lu.solve(B @ x)
-        norm = _norm(y)
-        if norm == 0.0:
-            raise ConvergenceError("iterate collapsed to the gradient null space")
-        x = y / norm
-        rho = float(np.einsum("i,i->", x, A @ x) / np.einsum("i,i->", x, B @ x))
-        if abs(rho - rho_prev) <= 1e-8 * abs(rho):
-            return rho
-        rho_prev = rho
+    A, B = folded_grams(grid, sigma)
+    levels = grid.K + 2 - (grid.K + 2) // 2
+
+    def describe(row: int) -> tuple[str, str]:
+        j, k = divmod(row, levels)
+        return "folded plate Gram matrix", f"row {row}, node j = {j + 1}, k = {k}"
+
+    with one_blas_thread():
+        factor = BandCholesky(upper_band(A), describe, overwrite=True)
+        x = np.ones(A.shape[0])
+        x /= _norm(x)
+        rho_prev = math.inf
+        for _ in range(500):
+            y = factor.solve(B @ x)
+            norm = _norm(y)
+            if norm == 0.0:
+                raise ConvergenceError("iterate collapsed to the gradient null space")
+            x = y / norm
+            rho = float(np.einsum("i,i->", x, A @ x) / np.einsum("i,i->", x, B @ x))
+            if abs(rho - rho_prev) <= 1e-8 * abs(rho):
+                return rho
+            rho_prev = rho
     raise ConvergenceError(
         "embedding-constant iteration did not settle in 500 sweeps",
         last_value=rho_prev)

@@ -242,6 +242,15 @@ def full_grid_lambda1(grid, sigma: float) -> float:
     raise AssertionError("full-grid iteration did not settle in 500 sweeps")
 
 
+def folded_splu(A: SparseOperator):
+    """``splu`` of the folded plate Gram matrix (the first matrix of
+    ``energy.folded_grams``) with the symmetric MMD ordering and no
+    pivoting that ``lambda1_estimate`` used before its banded Cholesky
+    factor: the reference for ``_direct.BandCholesky`` on that matrix."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
     """y fourth difference with free-edge ghost levels eliminated."""
     lx = assemble_d2_1d(grid.J, grid.dx)

@@ -1,13 +1,14 @@
 """SHA-256 digests of the files the CLI writes, for byte-identity checks.
 
-Usage: python tests/output_digests.py [SRC_DIR]
+Usage: python tests/output_digests.py [SRC_A [SRC_B]]
 
-Runs the commands below as subprocesses with ``PYTHONPATH=SRC_DIR`` (by
-default the ``src/`` beside this script) in a fresh temporary directory,
-and prints ``sha256  path`` for every file they write and for each
-command's stdout, sorted by path.  Run one copy of the script against two
-source trees and diff the outputs to check that a change keeps every
-output byte for byte.
+Runs the commands below as subprocesses with ``PYTHONPATH=SRC`` (by
+default the ``src/`` beside this script) in a fresh temporary directory.
+Given one source tree, it prints ``sha256  path`` for every file they
+write and for each command's stdout, sorted by path.  Given two, it runs
+both and prints only the paths whose digests differ (or that only one
+tree wrote), and exits 1 if there are any, so a change can be checked to
+keep every output byte for byte.  A bad argument exits 2.
 """
 
 import hashlib
@@ -63,13 +64,23 @@ def digests(src: Path) -> list[tuple[str, str]]:
 
 
 def main(argv: list[str]) -> int:
-    src = Path(argv[0]).resolve() if argv else DEFAULT_SRC
-    if not (src / "bergerdeck" / "__init__.py").is_file():
-        print(f"no bergerdeck package under {src}", file=sys.stderr)
-        return 1
-    for path, digest in digests(src):
-        print(f"{digest}  {path}")
-    return 0
+    if len(argv) > 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(arg).resolve() for arg in argv] or [DEFAULT_SRC]
+    for src in trees:
+        if not (src / "bergerdeck" / "__init__.py").is_file():
+            print(f"no bergerdeck package under {src}", file=sys.stderr)
+            return 2
+    if len(trees) == 1:
+        for path, digest in digests(trees[0]):
+            print(f"{digest}  {path}")
+        return 0
+    a, b = (dict(digests(src)) for src in trees)
+    changed = sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+    for path in changed:
+        print(path)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -407,6 +407,22 @@ def test_main_run_unwritable_svg_exits_1(tmp_path, capsys):
     assert "error: cannot write SVG" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, name, what",
+                         [("--out", "e.csv", "energy CSV"), ("--svg", "p.svg", "SVG")])
+def test_main_run_checks_output_directories_before_the_march(
+        tmp_path, monkeypatch, capsys, option, name, what):
+    import bergerdeck.cli as cli_mod
+
+    def march(cfg, plate=None):
+        raise AssertionError("run_config called before the output check")
+
+    monkeypatch.setattr(cli_mod, "run_config", march)
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "missing" / name)
+    assert main(["run", "--preset", "fig7", "--T", "5", option, path]) == 1
+    assert f"error: cannot write {what} {path!r}" in capsys.readouterr().err
+
+
 def test_main_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -522,6 +538,17 @@ def test_main_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
     cfg_path = _small_config_text(tmp_path)
     assert main(["run", "--config", cfg_path]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_main_lambda1_not_positive_definite_exits_2(tmp_path, monkeypatch, capsys):
+    import bergerdeck.energy as energy_mod
+
+    gram = energy_mod.hstar_gram
+    monkeypatch.setattr(energy_mod, "hstar_gram", lambda *args: -gram(*args))
+    cfg_path = _small_config_text(tmp_path)
+    assert main(["lambda1", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "runtime error: folded plate Gram matrix is not positive definite")
 
 
 def _small_sweep(monkeypatch):
@@ -645,3 +672,16 @@ def test_static_solve_and_system_leave_the_shared_band_alone():
     cli_mod.FactorizedSystem(ops, 0.01)
     cli_mod.FactorizedSystem(ops, 0.5)
     assert ops.band.tobytes() == before
+
+
+def test_output_digests_prints_only_the_paths_that_differ(monkeypatch, capsys):
+    import output_digests
+
+    trees = {"a": [("e.csv", "1"), ("stdout/lambda1.txt", "2"), ("x.svg", "3")],
+             "b": [("e.csv", "1"), ("stdout/lambda1.txt", "4"), ("y.svg", "3")]}
+    monkeypatch.setattr(output_digests, "digests", lambda src: trees[src.name])
+    monkeypatch.setattr(Path, "is_file", lambda path: True)
+    assert output_digests.main(["a", "b"]) == 1
+    assert capsys.readouterr().out.split() == ["stdout/lambda1.txt", "x.svg", "y.svg"]
+    assert output_digests.main(["a", "a"]) == 0
+    assert capsys.readouterr().out == ""

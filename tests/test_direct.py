@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf
 
 from bergerdeck import build_grid, build_operators, sin_load, solve_static
-from bergerdeck._direct import ModalSolver, refine_solve
+from bergerdeck._direct import (BandCholesky, ModalSolver, _scipy_openblas,
+                                one_blas_thread, refine_solve)
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
 from bergerdeck.operators import assemble_plate, level_weights
@@ -228,3 +229,26 @@ def test_band_not_positive_definite_raises():
     band[2, 7] = -1.0  # the diagonal at level 2 of mode 2
     with pytest.raises(SolveError, match="x mode 2 is not positive definite"):
         ModalSolver(band, grid)
+
+
+def test_band_is_factored_in_place_only_on_request():
+    # every system of a plate shares its OperatorSet.band
+    grid = build_grid(7, 5, math.pi / 4)
+    band = np.asfortranarray(assemble_plate(grid, 0.2)[1])
+    kept = band.copy()
+    ModalSolver(band, grid)
+    assert np.array_equal(band, kept)
+    BandCholesky(band, None, overwrite=True)
+    assert not np.array_equal(band, kept)
+
+
+@pytest.mark.skipif(_scipy_openblas() is None,
+                    reason="scipy here does not call its bundled OpenBLAS")
+def test_one_blas_thread_restores_the_thread_count():
+    lib = _scipy_openblas()
+    threads = lib.scipy_openblas_get_num_threads()
+    with pytest.raises(RuntimeError, match="inside"):
+        with one_blas_thread():
+            assert lib.scipy_openblas_get_num_threads() == 1
+            raise RuntimeError("inside")
+    assert lib.scipy_openblas_get_num_threads() == threads

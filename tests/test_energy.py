@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
                         build_grid, build_operators, build_weights,
                         dissipation_residual, lambda1_estimate, make_model)
-from bergerdeck.energy import gradient_gram, hstar_gram, parity_fold
-from bergerdeck.errors import SequencingError, ShapeError
-from oracles import full_grid_lambda1
+from bergerdeck._direct import BandCholesky, upper_band
+from bergerdeck.energy import (folded_grams, gradient_gram, hstar_gram,
+                               parity_fold)
+from bergerdeck.errors import SequencingError, ShapeError, SolveError
+from oracles import folded_splu, full_grid_lambda1
 
 SIGMA = 0.2
 
@@ -177,6 +179,53 @@ def test_grams_commute_with_flips_and_fold_exactly(J, K, l, sigma, seed):
         folded = fold @ ((fold.T @ gram @ fold) @ z / multiplicity)
         bound = 1e-13 * (abs(gram) @ abs(fold @ z)).max()
         assert np.abs(full - folded).max() <= bound
+
+
+# --- the banded factor of the folded plate Gram matrix ------------------------
+# Two backward-stable solves differ by up to about eps cond(A); with K up
+# to 15, cond of the folded plate Gram matrix passes 1e6 below l = 0.6 and
+# the gap to LU reaches 1e-10 there, so the half-widths start at 0.6.
+
+@pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
+@settings(max_examples=30, deadline=None)
+@given(J=st.integers(min_value=3, max_value=20).map(lambda h: 2 * h + 1),
+       half_k=st.integers(min_value=2, max_value=7),
+       l=st.floats(min_value=0.6, max_value=3.0),
+       sigma=st.floats(min_value=1e-3, max_value=0.499),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
+                                                 sigma, seed):
+    K = 2 * half_k + (1 if odd_levels else 0)
+    grid = build_grid(J, K, l)
+    assert (grid.K + 2) % 2 == odd_levels
+    A, _ = folded_grams(grid, sigma)
+    band = upper_band(A)
+    # level-fastest, a 2-D stencil reaching two nodes each way is a band
+    # of half-width two quarter columns plus two
+    levels = grid.K + 2 - (grid.K + 2) // 2
+    kd = band.shape[0] - 1
+    assert kd == 2 * levels + 2
+    rebuilt = np.zeros(A.shape)
+    for col in range(A.shape[0]):
+        for row in range(max(0, col - kd), col + 1):
+            rebuilt[row, col] = band[kd + row - col, col]
+    assert np.array_equal(rebuilt, np.triu(A.toarray()))
+    rhs = np.random.default_rng(seed).normal(size=A.shape[0])
+    x = BandCholesky(band, None, overwrite=True).solve(rhs)
+    reference = folded_splu(A).solve(rhs)
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_lambda1_names_the_row_that_is_not_positive_definite(tiny_grid,
+                                                            monkeypatch):
+    import bergerdeck.energy as energy_mod
+
+    gram = energy_mod.hstar_gram
+    monkeypatch.setattr(energy_mod, "hstar_gram", lambda *args: -gram(*args))
+    with pytest.raises(SolveError, match=r"^folded plate Gram matrix is not "
+                       r"positive definite \(banded Cholesky stopped at row 0, "
+                       r"node j = 1, k = 0\)$"):
+        lambda1_estimate(tiny_grid, SIGMA)
 
 
 def _dense_lambda1(grid, sigma):
