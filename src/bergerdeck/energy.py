@@ -1,8 +1,8 @@
 """Discrete energy decomposition, the plate quadratic form, the dissipation
 ledger, and the embedding-constant estimator, all read through the
-difference maps of ``operators``.  The estimator folds its pencil onto
-the plate's even-even quarter, ordered level-fastest, and factors the
-folded plate Gram matrix once by banded Cholesky (``_direct``).
+difference maps of ``operators``.  The estimator builds its pencil from
+the maps on the plate's even-even quarter, factors it by banded Cholesky
+(``_direct``) and takes its Rayleigh quotients by quadrature.
 
 The total energy splits as
 
@@ -25,11 +25,10 @@ import scipy.sparse as sp
 
 from ._direct import BandCholesky, _norm, one_blas_thread, upper_band
 from .errors import ConvergenceError, SequencingError, ShapeError
-from .grid import Grid, QuadratureWeights, build_weights
+from .grid import Grid, build_weights
 from .model import ModelConfig, stretch_integral
-from .operators import (OperatorSet, SparseOperator, _finalize, assemble_dxx,
-                        assemble_dy2, cross_derivative_map, x_derivative_map,
-                        y_derivative_map)
+from .operators import (OperatorSet, _finalize, _fold, assemble_dy2,
+                        cross_derivative_map, quarter_maps)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import LevelTerms, SimState
@@ -49,6 +48,12 @@ class EnergyRecord:
 
 # ---------------------------------------------------------------------------
 # plate form and records
+
+def plate_density(xx: np.ndarray, yy: np.ndarray, xy: np.ndarray,
+                  sigma: float) -> np.ndarray:
+    """F(u,u) node by node from u_xx, u_yy and u_xy."""
+    return xx * xx + yy * yy + 2.0 * sigma * (xx * yy) + 2.0 * (1.0 - sigma) * (xy * xy)
+
 
 class PlateFormEvaluator:
     """Evaluates the plate quadratic form and energy records on the grid,
@@ -71,11 +76,8 @@ class PlateFormEvaluator:
         if U.shape != (self.grid.n_dof,):
             raise ShapeError(f"expected state of length {self.grid.n_dof}, got {U.shape}")
         xx = self.sxx @ U if uxx is None else uxx
-        yy = self.syy @ U
-        xy = self.sxy @ U
-        density = xx * xx + yy * yy + 2.0 * self.sigma * (xx * yy) \
-            + 2.0 * (1.0 - self.sigma) * (xy * xy)
-        return self.weights.integrate_cells(density)
+        return self.weights.integrate_cells(
+            plate_density(xx, self.syy @ U, self.sxy @ U, self.sigma))
 
     def record(self, state: "SimState", model: ModelConfig,
                dissipated_cum: float = 0.0,
@@ -121,51 +123,32 @@ def dissipation_residual(records: list[EnergyRecord]) -> float:
 # ---------------------------------------------------------------------------
 # embedding constant
 
-def parity_fold(grid: Grid) -> SparseOperator:
-    """The fields even under both flips j -> J+1-j and k -> K+1-k, given
-    by their values on the quarter j <= (J+1)/2, k <= (K+1)/2: the 0/1
-    map from the quarter to the flat layout, node (k, j) read from the
-    quarter node (min(k, K+1-k), min(j, J+1-j)).  The quarter is ordered
-    level-fastest (k fastest), which keeps the half-band of a folded 2-D
-    stencil to twice the quarter's level count plus two (Cuthill & McKee
-    1969): 204 on 299 x 199, against 302 j-fastest."""
-    ny, J = grid.K + 2, grid.J
-    k, j = np.arange(ny), np.arange(J)
-    quarter = np.minimum(j, J - 1 - j)[None, :] * (ny - ny // 2) \
-        + np.minimum(k, ny - 1 - k)[:, None]
-    return _finalize(sp.csr_matrix(
-        (np.ones(grid.n_dof), (np.arange(grid.n_dof), quarter.ravel())),
-        shape=(grid.n_dof, (ny - ny // 2) * (J - J // 2))))
+class QuarterPencil:
+    """The plate and gradient forms of u = F z, F the 0/1 map from the
+    quarter of ``operators.quarter_maps`` to the flat layout, integrated on
+    the quarter's nodes with the folded weights F^T w; ``A`` and ``B`` are
+    their Gram matrices G^T W G over the quarter's maps G, equal to
+    F^T A F and F^T B F of the full-grid Gram matrices up to rounding."""
 
+    def __init__(self, grid: Grid, sigma: float):
+        self.sigma = sigma
+        self.weights = _fold(_fold(build_weights(grid).cell.reshape(grid.shape)).T).ravel()
+        xx, yy, xy, x, y = quarter_maps(grid, sigma)
+        self.plate = sp.vstack([xx, yy, xy], format="csr")
+        self.gradient = sp.vstack([x, y], format="csr")
+        W = sp.diags(self.weights)
+        self.A = _finalize(self.plate.T @ sp.vstack(
+            [W @ (xx + sigma * yy), W @ (yy + sigma * xx),
+             2.0 * (1.0 - sigma) * (W @ xy)], format="csr"))
+        self.B = _finalize(self.gradient.T @ sp.block_diag([W, W]) @ self.gradient)
 
-def hstar_gram(grid: Grid, sigma: float,
-               weights: QuadratureWeights) -> SparseOperator:
-    """Gram matrix of the plate form: U^T A U = quadrature of F(u,u)."""
-    W = sp.diags(weights.cell)
-    sxx = assemble_dxx(grid)
-    syy = assemble_dy2(grid, sigma)
-    sxy = cross_derivative_map(grid)
-    A = sxx.T @ W @ sxx + syy.T @ W @ syy \
-        + sigma * (sxx.T @ W @ syy + syy.T @ W @ sxx) \
-        + 2.0 * (1.0 - sigma) * (sxy.T @ W @ sxy)
-    return _finalize(A)
+    def plate_form(self, z: np.ndarray) -> float:
+        xx, yy, xy = np.split(self.plate @ z, 3)
+        return float(np.einsum("i,i->", self.weights, plate_density(xx, yy, xy, self.sigma)))
 
-
-def gradient_gram(grid: Grid, weights: QuadratureWeights) -> SparseOperator:
-    """Gram matrix of the Dirichlet gradient: U^T B U = quadrature of |grad u|^2."""
-    W = sp.diags(weights.cell)
-    sx = x_derivative_map(grid)
-    sy = y_derivative_map(grid)
-    return _finalize(sx.T @ W @ sx + sy.T @ W @ sy)
-
-
-def folded_grams(grid: Grid, sigma: float) -> tuple[SparseOperator, SparseOperator]:
-    """(F^T A F, F^T B F): the plate and gradient Gram matrices folded onto
-    the even-even quarter by F = ``parity_fold(grid)``."""
-    weights = build_weights(grid)
-    fold = parity_fold(grid)
-    return (_finalize(fold.T @ hstar_gram(grid, sigma, weights) @ fold),
-            _finalize(fold.T @ gradient_gram(grid, weights) @ fold))
+    def gradient_form(self, z: np.ndarray) -> float:
+        ux, uy = np.split(self.gradient @ z, 2)
+        return float(np.einsum("i,i->", self.weights, ux * ux + uy * uy))
 
 
 def lambda1_estimate(grid: Grid, sigma: float) -> float:
@@ -178,22 +161,21 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
     sector's smallest eigenvalue, which is the global one: the lowest
     buckling shape is even in x and y, and the other sectors' minima are
     1.47, 3.47 and 5.09 against 0.86 on the preset plate (the tests check
-    the dense full pencil).  So it iterates on (F^T A F, F^T B F), F =
-    ``parity_fold(grid)``: the same Rayleigh quotients on a quarter of the
-    unknowns.  F^T A F is folded from the full Gram matrix, not assembled
-    from the difference maps applied to F: x^T A x cancels large entries,
-    and that assembly's rounding moves the quotient by 7e-7 on 299 x 199.
-
-    F^T A F is positive definite, and the level-fastest quarter keeps it
-    a band, so it is factored once by banded Cholesky on its upper band
-    (``_direct.upper_band``, ``_direct.BandCholesky``) and each sweep
-    runs one banded solve, both on one BLAS thread
+    the dense full pencil).  So it iterates on the ``QuarterPencil``, a
+    quarter of the unknowns.  Its A is positive definite and a band, so it
+    is factored once by banded Cholesky (``_direct.BandCholesky``) and each
+    sweep runs one banded solve, both on one BLAS thread
     (``_direct.one_blas_thread``).
-    Iteration stops when the Rayleigh quotient is
-    stationary to 1e-8 relative.  Norms and quotients are fixed-order
-    ``np.einsum`` sums, whose bits do not depend on the BLAS thread count.
+
+    Iteration stops when the Rayleigh quotient is stationary to 1e-8
+    relative.  It is taken by quadrature, as ``form_value`` takes the
+    plate form: x^T A x / x^T B x cancels large entries and rounds far
+    above that tolerance (7e-7 apart on 299 x 199 for two roundings of A),
+    while the quadrature quotient settles to about 1e-12.  Norms and
+    quotients are fixed-order ``np.einsum`` sums, whose bits do not depend
+    on the BLAS thread count.
     """
-    A, B = folded_grams(grid, sigma)
+    pencil = QuarterPencil(grid, sigma)
     levels = grid.K + 2 - (grid.K + 2) // 2
 
     def describe(row: int) -> tuple[str, str]:
@@ -201,17 +183,17 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
         return "folded plate Gram matrix", f"row {row}, node j = {j + 1}, k = {k}"
 
     with one_blas_thread():
-        factor = BandCholesky(upper_band(A), describe, overwrite=True)
-        x = np.ones(A.shape[0])
+        factor = BandCholesky(upper_band(pencil.A), describe, overwrite=True)
+        x = np.ones(pencil.A.shape[0])
         x /= _norm(x)
         rho_prev = math.inf
         for _ in range(500):
-            y = factor.solve(B @ x)
+            y = factor.solve(pencil.B @ x)
             norm = _norm(y)
             if norm == 0.0:
                 raise ConvergenceError("iterate collapsed to the gradient null space")
             x = y / norm
-            rho = float(np.einsum("i,i->", x, A @ x) / np.einsum("i,i->", x, B @ x))
+            rho = pencil.plate_form(x) / pencil.gradient_form(x)
             if abs(rho - rho_prev) <= 1e-8 * abs(rho):
                 return rho
             rho_prev = rho

@@ -13,8 +13,8 @@ is one level polynomial (``_bilaplacian_levels``), evaluated once per plate
 DST-I in x evaluates it at each sine mode's Lx eigenvalue, one
 pentadiagonal block per mode, which the trapezoid y weights make symmetric;
 ``modal_band`` stacks the blocks' upper bands for one banded Cholesky
-factorization.  The first-difference maps the energy reads (u_x, u_y, u_xy)
-are Kronecker sums of the same kind.
+factorization.  The u_xy map is a Kronecker sum of the same kind, and
+``quarter_maps`` folds every difference map onto the even-even quarter.
 """
 
 from __future__ import annotations
@@ -262,19 +262,37 @@ def _dy_levels(grid: Grid) -> list[np.ndarray]:
     return [d_y]
 
 
-def x_derivative_map(grid: Grid) -> SparseOperator:
-    """Centered first x-difference on the unknowns, kron(I, D_x)."""
-    return _kron_sum([np.eye(grid.K + 2)], (_centered_dx(grid),))
-
-
-def y_derivative_map(grid: Grid) -> SparseOperator:
-    """First y-difference kron(D_y, I)."""
-    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
-
-
 def cross_derivative_map(grid: Grid) -> SparseOperator:
     """u_xy map kron(D_y, D_x), each entry a single product."""
     return _kron_sum(_dy_levels(grid), (_centered_dx(grid),))
+
+
+def _fold(values: np.ndarray) -> np.ndarray:
+    """``values`` times the 1-D fold f of its last axis, n points onto the
+    first h = n - n//2, f[i, min(i, n-1-i)] = 1: entry i >= h is added
+    into entry n-1-i."""
+    h = values.shape[-1] // 2
+    out = values[..., :-h].copy()
+    out[..., :h] += values[..., :-h - 1:-1]
+    return out
+
+
+def quarter_maps(grid: Grid, sigma: float) -> tuple[SparseOperator, ...]:
+    """The u_xx, u_yy, u_xy, u_x and u_y maps on the fields even under both
+    flips j -> J+1-j and k -> K+1-k, given by their values on the quarter
+    j <= (J+1)/2, k <= (K+1)/2 ordered level-fastest (k fastest), which
+    keeps their Gram matrices a band (Cuthill & McKee 1969).  The quarter's
+    rows of map sum_p kron(C_p, X_p) on those fields are
+    sum_p kron((X_p f_x)[:h_x], (C_p f_y)[:h_y]), f the 1-D ``_fold``s."""
+    def quarter(levels: list, blocks: tuple) -> SparseOperator:
+        return _kron_sum([_fold(x[:len(x) - len(x) // 2]) for x in blocks],
+                         tuple(_fold(c[:len(c) - len(c) // 2]) for c in levels))
+
+    lx = assemble_d2_1d(grid.J, grid.dx).toarray()
+    d_x, d_y = _centered_dx(grid).toarray(), _dy_levels(grid)
+    eye_x, eye_y = np.eye(grid.J), [np.eye(grid.K + 2)]
+    return (quarter(eye_y, (lx,)), quarter(_dy2_levels(grid, sigma), (eye_x, lx)),
+            quarter(d_y, (d_x,)), quarter(eye_y, (d_x,)), quarter(d_y, (eye_x,)))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bergerdeck import build_weights, stretch_integral
-from bergerdeck.energy import gradient_gram, hstar_gram
+from bergerdeck import (PlateFormEvaluator, build_operators, build_weights,
+                        stretch_integral)
 from bergerdeck.errors import ConfigError, ShapeError, SizingError
-from bergerdeck.grid import Grid
+from bergerdeck.grid import Grid, QuadratureWeights
 from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
-                                  _dy2_levels, _dy4_levels, _edge_rows,
-                                  _finalize, _kron_sum, assemble_d2_1d,
-                                  check_sigma)
+                                  _centered_dx, _dy2_levels, _dy4_levels,
+                                  _dy_levels, _edge_rows, _finalize, _kron_sum,
+                                  assemble_d2_1d, assemble_dxx, assemble_dy2,
+                                  check_sigma, cross_derivative_map)
 
 
 def dense_lx(J: int, dx: float) -> np.ndarray:
@@ -220,14 +221,81 @@ def berger_coefficient(U: np.ndarray, weights, P: float, S: float) -> float:
     return -P + S * stretch_integral(U, weights)
 
 
+def x_derivative_map(grid: Grid) -> SparseOperator:
+    """Centered first x-difference on the unknowns, kron(I, D_x)."""
+    return _kron_sum([np.eye(grid.K + 2)], (_centered_dx(grid),))
+
+
+def y_derivative_map(grid: Grid) -> SparseOperator:
+    """First y-difference kron(D_y, I)."""
+    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
+
+
+def parity_fold(grid: Grid) -> SparseOperator:
+    """The fields even under both flips j -> J+1-j and k -> K+1-k, given
+    by their values on the quarter j <= (J+1)/2, k <= (K+1)/2: the 0/1
+    map F from the quarter to the flat layout, node (k, j) read from the
+    quarter node (min(k, K+1-k), min(j, J+1-j)), the quarter ordered
+    level-fastest (k fastest) as ``operators.quarter_maps`` orders it."""
+    ny, J = grid.K + 2, grid.J
+    k, j = np.arange(ny), np.arange(J)
+    quarter = np.minimum(j, J - 1 - j)[None, :] * (ny - ny // 2) \
+        + np.minimum(k, ny - 1 - k)[:, None]
+    return _finalize(sp.csr_matrix(
+        (np.ones(grid.n_dof), (np.arange(grid.n_dof), quarter.ravel())),
+        shape=(grid.n_dof, (ny - ny // 2) * (J - J // 2))))
+
+
+def hstar_gram(grid: Grid, sigma: float,
+               weights: QuadratureWeights) -> SparseOperator:
+    """Gram matrix of the plate form: U^T A U = quadrature of F(u,u)."""
+    W = sp.diags(weights.cell)
+    sxx = assemble_dxx(grid)
+    syy = assemble_dy2(grid, sigma)
+    sxy = cross_derivative_map(grid)
+    A = sxx.T @ W @ sxx + syy.T @ W @ syy \
+        + sigma * (sxx.T @ W @ syy + syy.T @ W @ sxx) \
+        + 2.0 * (1.0 - sigma) * (sxy.T @ W @ sxy)
+    return _finalize(A)
+
+
+def gradient_gram(grid: Grid, weights: QuadratureWeights) -> SparseOperator:
+    """Gram matrix of the Dirichlet gradient: U^T B U = quadrature of |grad u|^2."""
+    W = sp.diags(weights.cell)
+    sx = x_derivative_map(grid)
+    sy = y_derivative_map(grid)
+    return _finalize(sx.T @ W @ sx + sy.T @ W @ sy)
+
+
+def gradient_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
+    """Quadrature of |grad u|^2 on the full grid, the form of
+    ``gradient_gram``."""
+    ux = x_derivative_map(weights.grid) @ U
+    uy = y_derivative_map(weights.grid) @ U
+    return weights.integrate_cells(ux * ux + uy * uy)
+
+
+def folded_grams(grid: Grid, sigma: float) -> tuple[SparseOperator, SparseOperator]:
+    """(F^T A F, F^T B F): the plate and gradient Gram matrices folded onto
+    the even-even quarter by F = ``parity_fold(grid)``, the pencil
+    ``energy.lambda1_estimate`` factored before it assembled its own from
+    the quarter's difference maps."""
+    weights = build_weights(grid)
+    fold = parity_fold(grid)
+    return (_finalize(fold.T @ hstar_gram(grid, sigma, weights) @ fold),
+            _finalize(fold.T @ gradient_gram(grid, weights) @ fold))
+
+
 def full_grid_lambda1(grid, sigma: float) -> float:
     """Inverse power iteration on the full-grid pencil A x = lambda B x
-    from the constant field, stopped when the Rayleigh quotient is
-    stationary to 1e-8 relative: the reference for the parity-folded
-    ``energy.lambda1_estimate``."""
+    from the constant field, with the Rayleigh quotient taken by
+    quadrature (``form_value`` over ``gradient_integral``) and stopped
+    when it is stationary to 1e-8 relative: the reference for the
+    parity-folded ``energy.lambda1_estimate``."""
     weights = build_weights(grid)
     A = hstar_gram(grid, sigma, weights)
     B = gradient_gram(grid, weights)
+    form = PlateFormEvaluator(build_operators(grid, sigma, 0))
     lu = spla.splu(sp.csc_matrix(A))
     x = np.ones(grid.n_dof)
     x /= np.linalg.norm(x)
@@ -235,7 +303,7 @@ def full_grid_lambda1(grid, sigma: float) -> float:
     for _ in range(500):
         x = lu.solve(B @ x)
         x /= np.linalg.norm(x)
-        rho = float(x @ (A @ x)) / float(x @ (B @ x))
+        rho = form.form_value(x) / gradient_integral(x, weights)
         if abs(rho - rho_prev) <= 1e-8 * abs(rho):
             return rho
         rho_prev = rho
@@ -243,10 +311,10 @@ def full_grid_lambda1(grid, sigma: float) -> float:
 
 
 def folded_splu(A: SparseOperator):
-    """``splu`` of the folded plate Gram matrix (the first matrix of
-    ``energy.folded_grams``) with the symmetric MMD ordering and no
-    pivoting that ``lambda1_estimate`` used before its banded Cholesky
-    factor: the reference for ``_direct.BandCholesky`` on that matrix."""
+    """``splu`` of the folded plate Gram matrix (``energy.QuarterPencil``'s
+    ``A``) with the symmetric MMD ordering and no pivoting that
+    ``lambda1_estimate`` used before its banded Cholesky factor: the
+    reference for ``_direct.BandCholesky`` on that matrix."""
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 

@@ -543,8 +543,12 @@ def test_main_runtime_error_exits_2(tmp_path, monkeypatch, capsys):
 def test_main_lambda1_not_positive_definite_exits_2(tmp_path, monkeypatch, capsys):
     import bergerdeck.energy as energy_mod
 
-    gram = energy_mod.hstar_gram
-    monkeypatch.setattr(energy_mod, "hstar_gram", lambda *args: -gram(*args))
+    class Negated(energy_mod.QuarterPencil):
+        def __init__(self, grid, sigma):
+            super().__init__(grid, sigma)
+            self.A = -self.A
+
+    monkeypatch.setattr(energy_mod, "QuarterPencil", Negated)
     cfg_path = _small_config_text(tmp_path)
     assert main(["lambda1", "--config", cfg_path]) == 2
     assert capsys.readouterr().err.startswith(

@@ -7,14 +7,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bergerdeck.energy as energy_mod
 from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
                         build_grid, build_operators, build_weights,
                         dissipation_residual, lambda1_estimate, make_model)
 from bergerdeck._direct import BandCholesky, upper_band
-from bergerdeck.energy import (folded_grams, gradient_gram, hstar_gram,
-                               parity_fold)
+from bergerdeck.energy import QuarterPencil
 from bergerdeck.errors import SequencingError, ShapeError, SolveError
-from oracles import folded_splu, full_grid_lambda1
+from oracles import (folded_grams, folded_splu, full_grid_lambda1,
+                     gradient_gram, gradient_integral, hstar_gram, parity_fold)
 
 SIGMA = 0.2
 
@@ -181,6 +182,62 @@ def test_grams_commute_with_flips_and_fold_exactly(J, K, l, sigma, seed):
         assert np.abs(full - folded).max() <= bound
 
 
+# --- the quarter pencil against the folded full grid ----------------------------
+
+def _pencil_with_plate_gram(plate_gram):
+    """``QuarterPencil`` with its A replaced by ``plate_gram(grid, sigma, A)``."""
+    class Replaced(QuarterPencil):
+        def __init__(self, grid, sigma):
+            super().__init__(grid, sigma)
+            self.A = plate_gram(grid, sigma, self.A)
+
+    return Replaced
+
+
+quarter_grids = dict(
+    J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+    half_k=st.integers(min_value=2, max_value=7),
+    l=st.floats(min_value=0.05, max_value=10.0),
+    sigma=st.floats(min_value=1e-3, max_value=0.499))
+
+
+@pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
+@settings(max_examples=30, deadline=None)
+@given(**quarter_grids, seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_quarter_pencil_matches_folded_full_grid(odd_levels, J, half_k, l, sigma,
+                                                 seed):
+    grid = build_grid(J, 2 * half_k + odd_levels, l)
+    pencil = QuarterPencil(grid, sigma)
+    for quarter, folded in zip((pencil.A, pencil.B), folded_grams(grid, sigma)):
+        assert np.array_equal(quarter.indptr, folded.indptr)
+        assert np.array_equal(quarter.indices, folded.indices)
+        scale = np.abs(folded.data).max()
+        assert np.abs(quarter.data - folded.data).max() <= 1e-13 * scale
+    # the folded quadrature of the quarter is the full grid's on F z
+    z = np.random.default_rng(seed).normal(size=pencil.A.shape[0])
+    u = parity_fold(grid) @ z
+    form = PlateFormEvaluator(build_operators(grid, sigma, 0))
+    assert pencil.plate_form(z) == pytest.approx(form.form_value(u), rel=1e-12)
+    assert pencil.gradient_form(z) == pytest.approx(
+        gradient_integral(u, build_weights(grid)), rel=1e-12)
+
+
+@pytest.mark.parametrize("odd_levels", [True, False], ids=["odd", "even"])
+@settings(max_examples=15, deadline=None)
+@given(**quarter_grids)
+def test_lambda1_does_not_read_the_rounding_of_the_plate_gram(odd_levels, J,
+                                                             half_k, l, sigma):
+    # a Rayleigh quotient x^T A x / x^T B x would carry A's rounding far
+    # above the 1e-8 stop; the quadrature quotient does not
+    grid = build_grid(J, 2 * half_k + odd_levels, l)
+    value = lambda1_estimate(grid, sigma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy_mod, "QuarterPencil", _pencil_with_plate_gram(
+            lambda grid, sigma, A: folded_grams(grid, sigma)[0]))
+        folded = lambda1_estimate(grid, sigma)
+    assert folded == pytest.approx(value, rel=1e-11)
+
+
 # --- the banded factor of the folded plate Gram matrix ------------------------
 # Two backward-stable solves differ by up to about eps cond(A); with K up
 # to 15, cond of the folded plate Gram matrix passes 1e6 below l = 0.6 and
@@ -198,7 +255,7 @@ def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
     K = 2 * half_k + (1 if odd_levels else 0)
     grid = build_grid(J, K, l)
     assert (grid.K + 2) % 2 == odd_levels
-    A, _ = folded_grams(grid, sigma)
+    A = QuarterPencil(grid, sigma).A
     band = upper_band(A)
     # level-fastest, a 2-D stencil reaching two nodes each way is a band
     # of half-width two quarter columns plus two
@@ -218,10 +275,8 @@ def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
 
 def test_lambda1_names_the_row_that_is_not_positive_definite(tiny_grid,
                                                             monkeypatch):
-    import bergerdeck.energy as energy_mod
-
-    gram = energy_mod.hstar_gram
-    monkeypatch.setattr(energy_mod, "hstar_gram", lambda *args: -gram(*args))
+    monkeypatch.setattr(energy_mod, "QuarterPencil",
+                        _pencil_with_plate_gram(lambda grid, sigma, A: -A))
     with pytest.raises(SolveError, match=r"^folded plate Gram matrix is not "
                        r"positive definite \(banded Cholesky stopped at row 0, "
                        r"node j = 1, k = 0\)$"):

@@ -9,19 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import build_grid
-from bergerdeck.energy import (cross_derivative_map, x_derivative_map,
-                               y_derivative_map)
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
                                   _dy4_levels, _dy_levels, assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, assemble_plate, level_weights)
+                                  assemble_dy2, assemble_plate,
+                                  cross_derivative_map, level_weights)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
                      kron_operators, observed_orders,
                      sparse_bilaplacian_levels, sparse_dy2_levels,
-                     sparse_dy4_levels, sparse_dy_levels)
+                     sparse_dy4_levels, sparse_dy_levels, x_derivative_map,
+                     y_derivative_map)
 
 
 # --- 1-d second difference ------------------------------------------------
