@@ -389,10 +389,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_static(args) -> int:
     cfg = _load_config(args)
+    out = args.out or "static_solution.csv"
+    _check_directory(out, "snapshot")  # before the assembly and the solve
     grid = build_grid(cfg.J, cfg.K, cfg.l)
     ops = build_operators(grid, cfg.sigma, cfg.width)
     u = solve_static(sin_load(grid, 50.0, 2), ops)
-    out = args.out or "static_solution.csv"
     dump_snapshot(u, grid, out)
     print(f"wrote {out} (max |u| = {float(np.max(np.abs(u))):.6g})")
     return 0

@@ -7,14 +7,15 @@ reshapes the stencils in the first two and last two block rows.  Every y
 block is c0 I + c1 Lx + c2 Lx^2, so each operator on the flat field is
 sum_p kron(C_p, X_p): the C_p are dense (K+2) x (K+2) level matrices, the
 X_p sparse J x J x factors, and one assembler, ``_kron_sum``, writes every
-operator diagonal by diagonal from the factors' diagonals.  The bilaplacian
-is one level polynomial (``_bilaplacian_levels``), evaluated once per plate
-(``assemble_plate``): its Kronecker sum is the sparse operator, and the
-DST-I in x evaluates it at each sine mode's Lx eigenvalue, one
-pentadiagonal block per mode, which the trapezoid y weights make symmetric;
-``modal_band`` stacks the blocks' upper bands for one banded Cholesky
-factorization.  The u_xy map is a Kronecker sum of the same kind, and
-``quarter_maps`` folds every difference map onto the even-even quarter.
+operator diagonal by diagonal from the factors' diagonals, straight into
+DIA storage (Saad 2003, sec. 3.4).  The bilaplacian is one level polynomial
+(``_bilaplacian_levels``), evaluated once per plate (``assemble_plate``):
+its Kronecker sum is the sparse operator, and the DST-I in x evaluates it
+at each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which
+the trapezoid y weights make symmetric; ``modal_band`` stacks the blocks'
+upper bands for one banded Cholesky factorization.  The u_xy map is a
+Kronecker sum of the same kind, and ``quarter_maps`` folds every
+difference map onto the even-even quarter.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ from .errors import ParameterError, SizingError
 from .grid import Grid, QuadratureWeights, build_weights, level_weights
 from .model import DampingField, damping_mask
 
-# Operators are plain CSR matrices: sorted column indices within each row,
-# no explicitly stored zeros.
-SparseOperator = sp.csr_matrix
+# Plate operators are DIA matrices with their diagonals in ascending offset
+# order, so ``op @ x`` adds each row's terms in the column order of the CSR
+# form, and the explicitly stored zeros leave each sum as it is: the bits of
+# ``op.tocsr() @ x``.  The 1-D differences are plain CSR (``_finalize``).
+SparseOperator = sp.dia_matrix
 
 
-def _finalize(matrix: sp.spmatrix) -> SparseOperator:
+def _finalize(matrix: sp.spmatrix) -> sp.csr_matrix:
+    """``matrix`` as CSR with sorted column indices within each row and no
+    explicitly stored zeros."""
     out = sp.csr_matrix(matrix)
     out.sum_duplicates()
     out.sort_indices()
@@ -46,7 +51,7 @@ def check_sigma(sigma: float) -> None:
         raise ParameterError(f"Poisson ratio sigma must lie in (0, 1/2), got {sigma}")
 
 
-def assemble_d2_1d(n: int, h: float) -> SparseOperator:
+def assemble_d2_1d(n: int, h: float) -> sp.csr_matrix:
     """Second difference [1, -2, 1]/h^2 with homogeneous Dirichlet ends."""
     if n < 3:
         raise SizingError(f"second-difference matrix needs n >= 3, got {n}")
@@ -58,7 +63,7 @@ def assemble_d2_1d(n: int, h: float) -> SparseOperator:
     return _finalize(sp.diags([off, main, off], [-1, 0, 1]))
 
 
-def assemble_d4_hinged_1d(n: int, h: float) -> SparseOperator:
+def assemble_d4_hinged_1d(n: int, h: float) -> sp.csr_matrix:
     """Fourth difference [1, -4, 6, -4, 1]/h^4 with hinged ends.
 
     At a hinged end both the value and the curvature vanish, so the ghost
@@ -91,8 +96,13 @@ def assemble_dxx(grid: Grid) -> SparseOperator:
 def _diagonals(matrix) -> dict[int, np.ndarray]:
     """{d: v, v[i] = matrix[i, i + d] or 0 outside} over the diagonals that
     hold a nonzero entry of ``matrix``, sparse or dense."""
-    m = sp.csr_matrix(matrix)
-    offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    if sp.issparse(matrix):
+        m = sp.csr_matrix(matrix)
+        offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    else:
+        m = matrix
+        rows, cols = np.nonzero(m)
+        offsets = cols - rows
     return {d: np.pad(m.diagonal(d), (max(0, -d), max(0, d)))
             for d in np.unique(offsets).tolist()}
 
@@ -101,8 +111,10 @@ def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
     """sum_p kron(C_p, blocks[p]) on the flat field, from the factors'
     diagonals: entry (k J + i, (k+e) J + i+d) sums the single products
     C_p[k, k+e] blocks[p][i, i+d] in order of p, the bits of ``sp.kron``
-    terms added in order.  Exact zeros are dropped; each row's columns come
-    out sorted, since offset e J + d orders as (e, d) for |d| < J."""
+    terms added in order.  Each sum over one offset e J + d is one whole
+    diagonal, which goes into the DIA data row by one slice shift; the
+    offsets ascend, since e J + d orders as (e, d) for |d| < J.  Entries
+    that sum to exact zeros stay stored; ``tocsr`` drops them."""
     n_x = blocks[0].shape[0]
     sums: dict[int, np.ndarray] = {}
     for level, block in zip(levels, blocks):
@@ -111,12 +123,14 @@ def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
             for d, x in x_diagonals.items():
                 term, key = np.multiply.outer(c, x).ravel(), e * n_x + d
                 sums[key] = sums[key] + term if key in sums else term
-    offsets = np.array(sorted(sums), dtype=np.int32)
-    values = np.array([sums[s] for s in offsets.tolist()])
-    keep = (values != 0.0).T  # (row, offset)
-    indptr = np.append(0, np.cumsum(keep.sum(axis=1, dtype=np.int32)))
-    cols = (np.arange(len(keep), dtype=np.int32) + offsets[:, None]).T[keep]
-    return SparseOperator((values.T[keep], cols, indptr), shape=(len(keep),) * 2)
+    offsets = sorted(sums)
+    n = len(sums[offsets[0]])
+    data = np.zeros((len(offsets), n))
+    for row, s in zip(data, offsets):
+        # DIA is column-aligned: data[., j] holds entry (j - s, j)
+        lo, hi = max(s, 0), n + min(s, 0)
+        row[lo:hi] = sums[s][lo - s:hi - s]
+    return SparseOperator((data, np.array(offsets, dtype=np.int32)), shape=(n, n))
 
 
 def _stencil(ny: int, stencil: tuple, edge: int) -> np.ndarray:

@@ -231,7 +231,7 @@ def y_derivative_map(grid: Grid) -> SparseOperator:
     return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
 
 
-def parity_fold(grid: Grid) -> SparseOperator:
+def parity_fold(grid: Grid) -> sp.csr_matrix:
     """The fields even under both flips j -> J+1-j and k -> K+1-k, given
     by their values on the quarter j <= (J+1)/2, k <= (K+1)/2: the 0/1
     map F from the quarter to the flat layout, node (k, j) read from the
@@ -247,7 +247,7 @@ def parity_fold(grid: Grid) -> SparseOperator:
 
 
 def hstar_gram(grid: Grid, sigma: float,
-               weights: QuadratureWeights) -> SparseOperator:
+               weights: QuadratureWeights) -> sp.csr_matrix:
     """Gram matrix of the plate form: U^T A U = quadrature of F(u,u)."""
     W = sp.diags(weights.cell)
     sxx = assemble_dxx(grid)
@@ -259,7 +259,7 @@ def hstar_gram(grid: Grid, sigma: float,
     return _finalize(A)
 
 
-def gradient_gram(grid: Grid, weights: QuadratureWeights) -> SparseOperator:
+def gradient_gram(grid: Grid, weights: QuadratureWeights) -> sp.csr_matrix:
     """Gram matrix of the Dirichlet gradient: U^T B U = quadrature of |grad u|^2."""
     W = sp.diags(weights.cell)
     sx = x_derivative_map(grid)
@@ -275,7 +275,7 @@ def gradient_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
     return weights.integrate_cells(ux * ux + uy * uy)
 
 
-def folded_grams(grid: Grid, sigma: float) -> tuple[SparseOperator, SparseOperator]:
+def folded_grams(grid: Grid, sigma: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """(F^T A F, F^T B F): the plate and gradient Gram matrices folded onto
     the even-even quarter by F = ``parity_fold(grid)``, the pencil
     ``energy.lambda1_estimate`` factored before it assembled its own from
@@ -310,7 +310,7 @@ def full_grid_lambda1(grid, sigma: float) -> float:
     raise AssertionError("full-grid iteration did not settle in 500 sweeps")
 
 
-def folded_splu(A: SparseOperator):
+def folded_splu(A: sp.csr_matrix):
     """``splu`` of the folded plate Gram matrix (``energy.QuarterPencil``'s
     ``A``) with the symmetric MMD ordering and no pivoting that
     ``lambda1_estimate`` used before its banded Cholesky factor: the
@@ -319,7 +319,7 @@ def folded_splu(A: SparseOperator):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def assemble_dy4(grid: Grid, sigma: float) -> SparseOperator:
+def assemble_dy4(grid: Grid, sigma: float) -> sp.csr_matrix:
     """y fourth difference with free-edge ghost levels eliminated."""
     lx = assemble_d2_1d(grid.J, grid.dx)
     blocks = (sp.identity(grid.J, format="csr"), lx, lx @ lx)
@@ -412,7 +412,7 @@ def sparse_dy4_levels(grid: Grid, sigma: float) -> list[sp.coo_matrix]:
     return _level_matrices(ny, rows)
 
 
-def sparse_bilaplacian_levels(grid: Grid, sigma: float) -> list[SparseOperator]:
+def sparse_bilaplacian_levels(grid: Grid, sigma: float) -> list[sp.csr_matrix]:
     """P_0, P_1, P_2 of ``operators._bilaplacian_levels`` in scipy CSR
     arithmetic on the COO levels."""
     dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
@@ -431,7 +431,7 @@ def sparse_dy_levels(grid: Grid) -> list[sp.coo_matrix]:
     return _level_matrices(ny, rows)
 
 
-def kron_sum(levels: list, blocks: tuple) -> SparseOperator:
+def kron_sum(levels: list, blocks: tuple) -> sp.csr_matrix:
     """sum_p kron(C_p, blocks[p]) as one ``sp.kron`` per term, CSR additions
     in order of p, then ``_finalize``: the plain Kronecker-sum assembly, the
     reference for the package's diagonal-wise one."""
@@ -439,10 +439,10 @@ def kron_sum(levels: list, blocks: tuple) -> SparseOperator:
     return _finalize(sum(terms[1:], terms[0]))
 
 
-def kron_operators(grid: Grid, sigma: float) -> dict[str, SparseOperator]:
-    """Every Kronecker-sum operator of ``grid`` at ``sigma``, assembled by
-    ``kron_sum`` from the 1-D factors: bilaplacian, dy2, dxx, the x and y
-    first-difference maps and the u_xy map kron(D_y, D_x)."""
+def _kron_factors(grid: Grid) -> tuple:
+    """The 1-D factors eye_x, eye_y, Lx, D_x (CSR) and the level matrix D_y
+    (dense, by loops) that ``kron_operators`` and ``kron_quarter_maps``
+    assemble from."""
     ny, J = grid.K + 2, grid.J
     eye_x, eye_y = sp.identity(J, format="csr"), sp.identity(ny, format="csr")
     lx = assemble_d2_1d(J, grid.dx)
@@ -454,6 +454,14 @@ def kron_operators(grid: Grid, sigma: float) -> dict[str, SparseOperator]:
         dy1[k, k - 1], dy1[k, k + 1] = -0.5 * inv_dy, 0.5 * inv_dy
     dy1[0, 0] = dy1[ny - 1, ny - 2] = -inv_dy
     dy1[0, 1] = dy1[ny - 1, ny - 1] = inv_dy
+    return eye_x, eye_y, lx, d1, dy1
+
+
+def kron_operators(grid: Grid, sigma: float) -> dict[str, sp.csr_matrix]:
+    """Every Kronecker-sum operator of ``grid`` at ``sigma``, assembled by
+    ``kron_sum`` from the 1-D factors: bilaplacian, dy2, dxx, the x and y
+    first-difference maps and the u_xy map kron(D_y, D_x)."""
+    eye_x, eye_y, lx, d1, dy1 = _kron_factors(grid)
     x_map = kron_sum([eye_y], (d1,))
     y_map = kron_sum([sp.csr_matrix(dy1)], (eye_x,))
     return {
@@ -464,6 +472,38 @@ def kron_operators(grid: Grid, sigma: float) -> dict[str, SparseOperator]:
         "x_map": x_map,
         "y_map": y_map,
         "cross_map": _finalize(y_map @ x_map),
+    }
+
+
+def fold_half(matrix) -> np.ndarray:
+    """(M f)[:h] by loops: the first h = n - n//2 rows of ``matrix`` with
+    column c added into column min(c, n-1-c)."""
+    m = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+    n = m.shape[1]
+    h = n - n // 2
+    out = np.zeros((h, h))
+    for i in range(h):
+        for c in range(n):
+            out[i, min(c, n - 1 - c)] += m[i, c]
+    return out
+
+
+def kron_quarter_maps(grid: Grid, sigma: float) -> dict[str, sp.csr_matrix]:
+    """The u_xx, u_yy, u_xy, u_x and u_y maps of ``operators.quarter_maps``
+    by ``kron_sum`` of the folded 1-D factors, the x factor outer:
+    sum_p kron(fold_half(X_p), fold_half(C_p))."""
+    eye_x, eye_y, lx, d1, dy1 = _kron_factors(grid)
+
+    def quarter(levels: list, blocks: tuple) -> sp.csr_matrix:
+        return kron_sum([fold_half(x) for x in blocks],
+                        tuple(fold_half(c) for c in levels))
+
+    return {
+        "quarter_xx": quarter([eye_y], (lx,)),
+        "quarter_yy": quarter(_dy2_levels(grid, sigma), (eye_x, lx)),
+        "quarter_xy": quarter([dy1], (d1,)),
+        "quarter_x": quarter([eye_y], (d1,)),
+        "quarter_y": quarter([dy1], (eye_x,)),
     }
 
 

@@ -393,6 +393,20 @@ def test_main_static_unwritable_snapshot_exits_1(tmp_path, capsys):
     assert "error: cannot write snapshot" in capsys.readouterr().err
 
 
+def test_main_static_checks_output_directory_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    import bergerdeck.cli as cli_mod
+
+    def solve(f, ops):
+        raise AssertionError("solve_static called before the output check")
+
+    monkeypatch.setattr(cli_mod, "solve_static", solve)
+    path = str(tmp_path / "missing" / "s.csv")
+    assert main(["static", "--config", _small_config_text(tmp_path),
+                 "--out", path]) == 1
+    assert f"error: cannot write snapshot {path!r}" in capsys.readouterr().err
+
+
 def test_main_run_unwritable_energy_csv_exits_1(tmp_path, capsys):
     cfg_path = _small_config_text(tmp_path)
     out = tmp_path / "missing" / "e.csv"

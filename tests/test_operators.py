@@ -15,10 +15,11 @@ from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
                                   assemble_dy2, assemble_plate,
-                                  cross_derivative_map, level_weights)
+                                  cross_derivative_map, level_weights,
+                                  quarter_maps)
 from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
                      free_edge_shorthand_coefficients, free_edge_stencil_report,
-                     kron_operators, observed_orders,
+                     kron_operators, kron_quarter_maps, observed_orders,
                      sparse_bilaplacian_levels, sparse_dy2_levels,
                      sparse_dy4_levels, sparse_dy_levels, x_derivative_map,
                      y_derivative_map)
@@ -248,7 +249,7 @@ def test_bilaplacian_mixed_probe_convergence_order():
 
 
 def test_bilaplacian_row_sparsity_and_bandwidth(tiny_grid):
-    mat = assemble_bilaplacian(tiny_grid, 0.2)
+    mat = assemble_bilaplacian(tiny_grid, 0.2).tocsr()
     J = tiny_grid.J
     nnz_per_row = np.diff(mat.indptr)
     assert nnz_per_row.max() <= 13
@@ -265,13 +266,14 @@ def test_cross_term_commutes(tiny_grid):
 
 
 def test_csr_invariants(tiny_grid):
-    for mat in (assemble_bilaplacian(tiny_grid, 0.2),
-                assemble_dy4(tiny_grid, 0.2),
-                assemble_dy2(tiny_grid, 0.2),
-                assemble_dxx(tiny_grid),
-                x_derivative_map(tiny_grid),
-                y_derivative_map(tiny_grid),
-                cross_derivative_map(tiny_grid)):
+    for op in (assemble_bilaplacian(tiny_grid, 0.2),
+               assemble_dy4(tiny_grid, 0.2),
+               assemble_dy2(tiny_grid, 0.2),
+               assemble_dxx(tiny_grid),
+               x_derivative_map(tiny_grid),
+               y_derivative_map(tiny_grid),
+               cross_derivative_map(tiny_grid)):
+        mat = op.tocsr()
         assert np.all(mat.data != 0.0)
         for row in range(mat.shape[0]):
             cols = mat.indices[mat.indptr[row]:mat.indptr[row + 1]]
@@ -298,11 +300,43 @@ def test_operators_match_kron_oracle_bytes(J, K, l, sigma):
     # indptr, indices and data, dtype and bytes, against sp.kron per term
     grid = build_grid(J, K, l)
     for name, oracle in kron_operators(grid, sigma).items():
-        mat = ASSEMBLED[name](grid, sigma)
+        mat = ASSEMBLED[name](grid, sigma).tocsr()
         for part in ("indptr", "indices", "data"):
             ours, ref = getattr(mat, part), getattr(oracle, part)
             assert ours.dtype == ref.dtype, (name, part)
             assert ours.tobytes() == ref.tobytes(), (name, part)
+
+
+QUARTER_NAMES = ("quarter_xx", "quarter_yy", "quarter_xy", "quarter_x", "quarter_y")
+
+
+@settings(max_examples=25, deadline=None)
+@given(J=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+       K=st.integers(min_value=3, max_value=31),
+       l=st.floats(min_value=0.05, max_value=5.0),
+       sigma=st.floats(min_value=1e-3, max_value=0.499),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_operators_are_ascending_dia_with_kron_oracle_bits(J, K, l, sigma, seed):
+    # K + 2 odd and even; ascending offsets make op @ x add each row's terms
+    # in CSR column order, so the products keep the oracle's bits on x of
+    # magnitudes from 1e-300 to 1e300
+    grid = build_grid(J, K, l)
+    ours = {name: build(grid, sigma) for name, build in ASSEMBLED.items()}
+    ours.update(zip(QUARTER_NAMES, quarter_maps(grid, sigma)))
+    oracles = {**kron_operators(grid, sigma), **kron_quarter_maps(grid, sigma)}
+    rng = np.random.default_rng(seed)
+    for name, op in ours.items():
+        ref = oracles[name]
+        assert isinstance(op, sp.dia_matrix), name
+        assert np.all(np.diff(op.offsets) > 0), name
+        mat = op.tocsr()
+        for part in ("indptr", "indices", "data"):
+            ours_part, ref_part = getattr(mat, part), getattr(ref, part)
+            assert ours_part.dtype == ref_part.dtype, (name, part)
+            assert ours_part.tobytes() == ref_part.tobytes(), (name, part)
+        n = op.shape[1]
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        assert (op @ x).tobytes() == (ref @ x).tobytes(), name
 
 
 # each package level builder and the coefficient-dict, COO and CSR
@@ -395,7 +429,7 @@ def test_bilaplacian_matches_term_composition(J, K, sigma):
     composed.sum_duplicates()
     composed.sort_indices()
     composed.eliminate_zeros()
-    mat = assemble_bilaplacian(grid, sigma)
+    mat = assemble_bilaplacian(grid, sigma).tocsr()
     np.testing.assert_array_equal(mat.indptr, composed.indptr)
     np.testing.assert_array_equal(mat.indices, composed.indices)
     scale = np.abs(composed.data).max()
@@ -433,6 +467,7 @@ def test_operator_bits_are_pinned(name):
     mat = build(build_grid(21, 11, 0.7))
     digest = hashlib.sha256()
     if sp.issparse(mat):
+        mat = mat.tocsr()
         for arr, dtype in ((mat.indptr, "<i4"), (mat.indices, "<i4"),
                            (mat.data, "<f8")):
             digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
