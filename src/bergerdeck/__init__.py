@@ -14,7 +14,7 @@ from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,
                      lambda1_estimate)
 from .integrator import FactorizedSystem, RunResult, SimState, bootstrap, run, step
 from .decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw, DecayLaw,
-                       ExponentialLaw, FitResult, LogarithmicLaw, construct_h,
-                       fit_decay, h_tilde, ode_decay, predicted_law)
+                       ExponentialLaw, FitResult, LogarithmicLaw, fit_decay,
+                       ode_decay)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from .grid import Grid, build_grid, build_weights
 from .integrator import FactorizedSystem, RunResult, run
 from .model import (FeedbackKind, Linear, damping_mask, feedback_from_name,
                     feedback_name, make_model)
-from .operators import build_operators, check_sigma
+from .operators import OperatorSet, build_operators, check_sigma
 from .staticsolve import sin_load, solve_static
 
 
@@ -206,9 +206,11 @@ def _write_lines(path: str, lines: list[str], what: str, error=ConfigError) -> N
 
 
 def _check_directory(path: str, what: str) -> None:
-    """Raise the writers' ``cannot write`` ConfigError if the directory
-    that ``path`` would be written into is missing or not writable, so a
-    command can fail before its work instead of after it."""
+    """Raise the writers' ``cannot write`` ConfigError if ``path`` is a
+    directory, or the directory it would be written into is missing or not
+    writable, so a command can fail before its work instead of after it."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {what} {path!r}: it is a directory")
     folder = os.path.dirname(path) or os.curdir
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot write {what} {path!r}: directory {folder!r} "
@@ -320,12 +322,17 @@ def emit_svg_plot(records: list[EnergyRecord], path: str,
 # ---------------------------------------------------------------------------
 # pipeline
 
+def _static_field(cfg: RunConfig) -> tuple[OperatorSet, np.ndarray]:
+    """The operators of a RunConfig's plate and collar, and the static
+    solution under the 50 sin(2x) load: every run's initial field."""
+    ops = build_operators(build_grid(cfg.J, cfg.K, cfg.l), cfg.sigma, cfg.width)
+    return ops, solve_static(sin_load(ops.grid, 50.0, 2), ops)
+
+
 def _plate(cfg: RunConfig) -> tuple[FactorizedSystem, np.ndarray]:
     """The system of a RunConfig's plate, collar and time step, and the
-    initial field: the static solution under the 50 sin(2x) load."""
-    grid = build_grid(cfg.J, cfg.K, cfg.l)
-    ops = build_operators(grid, cfg.sigma, cfg.width)
-    u0 = solve_static(sin_load(grid, 50.0, 2), ops)
+    initial field."""
+    ops, u0 = _static_field(cfg)
     return FactorizedSystem(ops, cfg.dt), u0
 
 
@@ -370,8 +377,10 @@ def _cmd_run(args) -> int:
     if round(cfg.T / cfg.dt) < 1:
         raise ConfigError(f"T = {cfg.T:g} rounds to 0 steps of dt = {cfg.dt:g}; "
                           f"run needs at least one step")
-    # before the march; the snapshots are written beside the CSV
+    # before the march
     _check_directory(cfg.csv, "energy CSV")
+    for t_req in cfg.snapshots:
+        _check_directory(_snapshot_path(cfg.csv, t_req), "snapshot")
     if cfg.svg:
         _check_directory(cfg.svg, "SVG")
     result = run_config(cfg)
@@ -391,10 +400,8 @@ def _cmd_static(args) -> int:
     cfg = _load_config(args)
     out = args.out or "static_solution.csv"
     _check_directory(out, "snapshot")  # before the assembly and the solve
-    grid = build_grid(cfg.J, cfg.K, cfg.l)
-    ops = build_operators(grid, cfg.sigma, cfg.width)
-    u = solve_static(sin_load(grid, 50.0, 2), ops)
-    dump_snapshot(u, grid, out)
+    ops, u = _static_field(cfg)
+    dump_snapshot(u, ops.grid, out)
     print(f"wrote {out} (max |u| = {float(np.max(np.abs(u))):.6g})")
     return 0
 
@@ -413,30 +420,25 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create sweep directory {args.out_dir!r}: "
                           f"{exc}") from exc
-    # the report is opened before the first march, so an unwritable path
-    # fails at once; each preset's row is written as its march ends
     report = os.path.join(args.out_dir, "decay_fits.csv")
-    try:
-        handle = open(report, "w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write fit report {report!r}: {exc}") from exc
+    _check_directory(report, "fit report")  # before the first march
+    rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
     # presets that share a plate share its system and initial field
     plates: dict[tuple, tuple[FactorizedSystem, np.ndarray]] = {}
-    with handle:
-        handle.write("preset,best_model,rate_or_exponent,r2_exp,r2_alg\n")
-        for name in ("fig6", "fig7", "fig8"):
-            cfg = preset(name)
-            key = (cfg.J, cfg.K, cfg.l, cfg.sigma, cfg.width, cfg.dt)
-            if key not in plates:
-                plates[key] = _plate(cfg)
-            result = run_config(cfg, plates[key])
-            stem = os.path.join(args.out_dir, f"{name}_energy")
-            write_energy_csv(result.records, f"{stem}.csv")
-            ts = np.array([rec.t for rec in result.records])
-            es = np.array([rec.total for rec in result.records])
-            handle.write(fit_report_row(name, fit_decay(ts, es)) + "\n")
-            emit_svg_plot(result.records, f"{stem}.svg",
-                          title=f"{name}: feedback {feedback_name(cfg.feedback)}")
+    for name in ("fig6", "fig7", "fig8"):
+        cfg = preset(name)
+        key = (cfg.J, cfg.K, cfg.l, cfg.sigma, cfg.width, cfg.dt)
+        if key not in plates:
+            plates[key] = _plate(cfg)
+        result = run_config(cfg, plates[key])
+        stem = os.path.join(args.out_dir, f"{name}_energy")
+        write_energy_csv(result.records, f"{stem}.csv")
+        ts = np.array([rec.t for rec in result.records])
+        es = np.array([rec.total for rec in result.records])
+        rows.append(fit_report_row(name, fit_decay(ts, es)))
+        emit_svg_plot(result.records, f"{stem}.svg",
+                      title=f"{name}: feedback {feedback_name(cfg.feedback)}")
+    _write_lines(report, rows, "fit report")
     print(f"wrote {report}")
     return 0
 

@@ -1,5 +1,5 @@
-"""Closed-form energy decay laws, the majorant machinery behind them, the
-scalar decay ODE, and least-squares classification of observed decay.
+"""Closed-form energy decay laws, the scalar decay ODE, and least-squares
+classification of observed decay.
 
 Decay of the damped plate is bounded by solutions of
 
@@ -10,20 +10,20 @@ for power-law feedbacks (exponential at order 1, otherwise one algebraic
 family) and for the degenerate exponential (logarithmic); their constants
 c, c0 are not computable a priori and stay as fit parameters.  Each law exposes
 the Hinv that solves its ODE exactly with the (1 - delta) factor absorbed
-into c.
+into c.  The proof's machinery (the family predicted from a feedback and
+the concave majorant h) is reached by no command, and lives with the test
+oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import FitError, ParameterError, UnsupportedLawError
-from .model import FeedbackKind
+from .errors import FitError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -120,72 +120,6 @@ DecayLaw = Union[ExponentialLaw, AlgebraicInfinityLaw, LogarithmicLaw]
 
 
 # ---------------------------------------------------------------------------
-# majorant machinery
-
-def _power_map(s, exponent: float, scale: float = 1.0):
-    return scale * np.asarray(s, dtype=float) ** exponent
-
-
-def construct_h(kind: FeedbackKind) -> Callable[[np.ndarray], np.ndarray]:
-    """Concave majorant h with h(s g(s)) >= s^2 + g(s)^2 for |s| <= 1.
-
-    A finite origin order theta gives 2 s^e with e = 2 min(theta, 1) /
-    (theta + 1); the degenerate exponential (infinite origin order) gets a
-    separately built concave majorant with the same property.
-    """
-    theta = kind.order_at_origin
-    if math.isinf(theta):
-        return _expdeg_majorant()
-    return partial(_power_map, exponent=2.0 * min(theta, 1.0) / (theta + 1.0),
-                   scale=2.0)
-
-
-def _expdeg_majorant() -> Callable[[np.ndarray], np.ndarray]:
-    """Concave majorant for the degenerate exponential.
-
-    With x = s g(s) one has -ln x = 1/s^2 - 4 ln s <= 5/s^2 on (0, 1], so
-    -10/ln(x) >= 2 s^2 >= s^2 + g(s)^2 there.  The map -10/ln(x) vanishes
-    at 0, increases, and is concave up to e^{-2}; past that point it is
-    continued by its tangent line, which keeps it concave while still
-    majorizing the (bounded by 2) target.  A piecewise envelope built from
-    samples cannot work here: the abscissa spans hundreds of orders of
-    magnitude and underflows long before s does.
-    """
-    x_star = math.exp(-2.0)
-    slope = 10.0 / (4.0 * x_star)
-
-    def h(arg):
-        arr = np.asarray(arg, dtype=float)
-        vals = np.atleast_1d(arr).copy()
-        out = np.zeros_like(vals)
-        low = (vals > 0.0) & (vals <= x_star)
-        out[low] = -10.0 / np.log(vals[low])
-        high = vals > x_star
-        out[high] = 5.0 + slope * (vals[high] - x_star)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
-
-    return h
-
-
-def h_tilde(order: float, p0: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Power map s^e with e = (p0 - 2 max(order, 1)) / (p0 - 1 - order).
-
-    Valid only under the integrability condition p0 > 2 max(order, 1); the
-    exponent then lies in (0, 1].
-    """
-    bound = 2.0 * max(order, 1.0)
-    if not p0 > bound:
-        raise ParameterError(
-            f"index p0 = {p0} must exceed 2*max(order, 1) = {bound}")
-    e = (p0 - bound) / (p0 - 1.0 - order)
-    mapping = partial(_power_map, exponent=e)
-    mapping.exponent = e
-    return mapping
-
-
-# ---------------------------------------------------------------------------
 # the decay ODE
 
 def ode_decay(S0: float, Hinv: Callable[[float], float], delta: float,
@@ -220,48 +154,6 @@ def ode_decay(S0: float, Hinv: Callable[[float], float], delta: float,
         s = min(s_next, s)  # monotone ODE: guard roundoff-level upticks
         vals.append(s)
     return np.asarray(ts[:len(vals)]), np.asarray(vals)
-
-
-# ---------------------------------------------------------------------------
-# predicted families
-
-@dataclass(frozen=True)
-class LawFamily:
-    """A decay-law family with the constants left open as fit parameters."""
-
-    name: str
-    make: Callable[..., DecayLaw]
-
-    def instantiate(self, **params) -> DecayLaw:
-        return self.make(**params)
-
-
-def predicted_law(kind: FeedbackKind, regime: str,
-                  p0: float | None = None) -> LawFamily:
-    """Decay family predicted for a feedback degenerating in ``regime``.
-
-    ``regime`` is "origin" (feedback linearly bounded at infinity) or
-    "infinity" (linearly bounded at the origin, needs p0).  Constants c, c0
-    are not predicted; callers fit or choose them.
-    """
-    if regime not in ("origin", "infinity"):
-        raise UnsupportedLawError(f"unknown regime {regime!r}")
-    if math.isinf(kind.order_at_origin):  # the degenerate exponential
-        if regime == "infinity":
-            raise UnsupportedLawError(
-                "the degenerate exponential has no closed form at infinity")
-        return LawFamily("logarithmic",
-                         partial(LogarithmicLaw, c1=1.0, c2=1.0, c0=math.e))
-    order = kind.order_at_origin if regime == "origin" else kind.order_at_infinity
-    if order == 1.0:
-        return LawFamily("exponential", partial(ExponentialLaw, c=1.0))
-    if regime == "origin":
-        return LawFamily("algebraic-origin", partial(AlgebraicOriginLaw, exponent=order))
-    if p0 is None:
-        raise UnsupportedLawError(
-            "the infinity regime needs the integrability index p0")
-    return LawFamily("algebraic-infinity",
-                     partial(AlgebraicInfinityLaw, exponent=order, q=p0))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class PlotError(BergerdeckError, ValueError):
     """Not enough plottable points to render a chart."""
 
 
-class UnsupportedLawError(BergerdeckError, ValueError):
-    """No closed-form decay law is available for the requested combination."""
-
-
 class SolveError(BergerdeckError, RuntimeError):
     """A linear solve failed or missed its residual contract."""
 

@@ -3,20 +3,28 @@
 Most are built with plain dense numpy and literal loops so the sparse
 production assembly is checked against a second, structurally different
 derivation; others are the plain forms that a faster library path
-replaced, and the rest are operators and reports that only tests read.
+replaced, and the rest are operators, reports and decay-law theory (the
+concave majorant h and the family predicted from a feedback) that only
+tests read.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bergerdeck import (PlateFormEvaluator, build_operators, build_weights,
-                        stretch_integral)
-from bergerdeck.errors import ConfigError, ShapeError, SizingError
+from bergerdeck import (FeedbackKind, PlateFormEvaluator, build_operators,
+                        build_weights, stretch_integral)
+from bergerdeck.decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw,
+                                 DecayLaw, ExponentialLaw, LogarithmicLaw)
+from bergerdeck.errors import (BergerdeckError, ConfigError, ParameterError,
+                               ShapeError, SizingError)
 from bergerdeck.grid import Grid, QuadratureWeights
 from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
                                   _centered_dx, _dy2_levels, _dy4_levels,
@@ -563,3 +571,112 @@ def edge_residuals(solution, x, y):
     r2 = (profile_derivative(solution, y, 3)
           - (2 - sg) * m * m * profile_derivative(solution, y, 1)) * sn
     return r1, r2
+
+
+# ---------------------------------------------------------------------------
+# decay-law theory: the concave majorant and the predicted families
+
+def _power_map(s, exponent: float, scale: float = 1.0):
+    return scale * np.asarray(s, dtype=float) ** exponent
+
+
+def construct_h(kind: FeedbackKind) -> Callable[[np.ndarray], np.ndarray]:
+    """Concave majorant h with h(s g(s)) >= s^2 + g(s)^2 for |s| <= 1.
+
+    A finite origin order theta gives 2 s^e with e = 2 min(theta, 1) /
+    (theta + 1); the degenerate exponential (infinite origin order) gets a
+    separately built concave majorant with the same property.
+    """
+    theta = kind.order_at_origin
+    if math.isinf(theta):
+        return _expdeg_majorant()
+    return partial(_power_map, exponent=2.0 * min(theta, 1.0) / (theta + 1.0),
+                   scale=2.0)
+
+
+def _expdeg_majorant() -> Callable[[np.ndarray], np.ndarray]:
+    """Concave majorant for the degenerate exponential.
+
+    With x = s g(s) one has -ln x = 1/s^2 - 4 ln s <= 5/s^2 on (0, 1], so
+    -10/ln(x) >= 2 s^2 >= s^2 + g(s)^2 there.  The map -10/ln(x) vanishes
+    at 0, increases, and is concave up to e^{-2}; past that point it is
+    continued by its tangent line, which keeps it concave while still
+    majorizing the (bounded by 2) target.  A piecewise envelope built from
+    samples cannot work here: the abscissa spans hundreds of orders of
+    magnitude and underflows long before s does.
+    """
+    x_star = math.exp(-2.0)
+    slope = 10.0 / (4.0 * x_star)
+
+    def h(arg):
+        arr = np.asarray(arg, dtype=float)
+        vals = np.atleast_1d(arr).copy()
+        out = np.zeros_like(vals)
+        low = (vals > 0.0) & (vals <= x_star)
+        out[low] = -10.0 / np.log(vals[low])
+        high = vals > x_star
+        out[high] = 5.0 + slope * (vals[high] - x_star)
+        if arr.ndim == 0:
+            return float(out[0])
+        return out.reshape(arr.shape)
+
+    return h
+
+
+def h_tilde(order: float, p0: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Power map s^e with e = (p0 - 2 max(order, 1)) / (p0 - 1 - order).
+
+    Valid only under the integrability condition p0 > 2 max(order, 1); the
+    exponent then lies in (0, 1].
+    """
+    bound = 2.0 * max(order, 1.0)
+    if not p0 > bound:
+        raise ParameterError(
+            f"index p0 = {p0} must exceed 2*max(order, 1) = {bound}")
+    e = (p0 - bound) / (p0 - 1.0 - order)
+    mapping = partial(_power_map, exponent=e)
+    mapping.exponent = e
+    return mapping
+
+
+class UnsupportedLawError(BergerdeckError, ValueError):
+    """No closed-form decay law is available for the requested combination."""
+
+
+@dataclass(frozen=True)
+class LawFamily:
+    """A decay-law family with the constants left open as fit parameters."""
+
+    name: str
+    make: Callable[..., DecayLaw]
+
+    def instantiate(self, **params) -> DecayLaw:
+        return self.make(**params)
+
+
+def predicted_law(kind: FeedbackKind, regime: str,
+                  p0: float | None = None) -> LawFamily:
+    """Decay family predicted for a feedback degenerating in ``regime``.
+
+    ``regime`` is "origin" (feedback linearly bounded at infinity) or
+    "infinity" (linearly bounded at the origin, needs p0).  Constants c, c0
+    are not predicted; callers fit or choose them.
+    """
+    if regime not in ("origin", "infinity"):
+        raise UnsupportedLawError(f"unknown regime {regime!r}")
+    if math.isinf(kind.order_at_origin):  # the degenerate exponential
+        if regime == "infinity":
+            raise UnsupportedLawError(
+                "the degenerate exponential has no closed form at infinity")
+        return LawFamily("logarithmic",
+                         partial(LogarithmicLaw, c1=1.0, c2=1.0, c0=math.e))
+    order = kind.order_at_origin if regime == "origin" else kind.order_at_infinity
+    if order == 1.0:
+        return LawFamily("exponential", partial(ExponentialLaw, c=1.0))
+    if regime == "origin":
+        return LawFamily("algebraic-origin", partial(AlgebraicOriginLaw, exponent=order))
+    if p0 is None:
+        raise UnsupportedLawError(
+            "the infinity regime needs the integrability index p0")
+    return LawFamily("algebraic-infinity",
+                     partial(AlgebraicInfinityLaw, exponent=order, q=p0))

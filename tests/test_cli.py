@@ -437,6 +437,41 @@ def test_main_run_checks_output_directories_before_the_march(
     assert f"error: cannot write {what} {path!r}" in capsys.readouterr().err
 
 
+def _refuse_the_work(monkeypatch):
+    import bergerdeck.cli as cli_mod
+
+    def work(*args, **kwargs):
+        raise AssertionError("the march or the solve ran before the output check")
+
+    monkeypatch.setattr(cli_mod, "run_config", work)
+    monkeypatch.setattr(cli_mod, "solve_static", work)
+
+
+@pytest.mark.parametrize("command, option, what", [
+    ("run", "--out", "energy CSV"), ("run", "--svg", "SVG"),
+    ("static", "--out", "snapshot")])
+def test_main_output_path_that_is_a_directory_exits_1_before_the_work(
+        tmp_path, monkeypatch, capsys, command, option, what):
+    _refuse_the_work(monkeypatch)
+    folder = tmp_path / "taken"
+    folder.mkdir()
+    assert main([command, "--config", _small_config_text(tmp_path),
+                 option, str(folder)]) == 1
+    assert (f"error: cannot write {what} {str(folder)!r}: it is a directory"
+            in capsys.readouterr().err)
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_main_run_snapshot_path_that_is_a_directory_exits_1_before_the_march(
+        tmp_path, monkeypatch, capsys):
+    _refuse_the_work(monkeypatch)
+    (tmp_path / "energy_snapshot_t0.5.csv").mkdir()
+    assert main(["run", "--config",
+                 _small_config_text(tmp_path, snapshots="0.5")]) == 1
+    assert "it is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_main_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import (ExpDegenerate, Linear, Piecewise, Power, SqrtOdd,
-                        construct_h, eval_feedback, fit_decay, h_tilde,
-                        ode_decay, predicted_law)
+                        eval_feedback, fit_decay, ode_decay)
 from bergerdeck.decaylaw import (AlgebraicInfinityLaw, AlgebraicOriginLaw,
                                  ExponentialLaw, LogarithmicLaw,
                                  fit_report_row)
-from bergerdeck.errors import (FitError, ParameterError, UnsupportedLawError)
+from bergerdeck.errors import FitError, ParameterError
+from oracles import UnsupportedLawError, construct_h, h_tilde, predicted_law
 
 
 # --- the concave majorant h --------------------------------------------------
