@@ -1,6 +1,6 @@
-"""Direct solves: LAPACK's banded Cholesky, behind the modal solver and
-``lambda1``'s folded pencil, and the residual contract every march and
-static solve is checked against."""
+"""Direct solves: LAPACK's banded Cholesky, behind the modal solver (in
+unit-diagonal form) and ``lambda1``'s folded pencil, and the residual
+contract every march and static solve is checked against."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import numpy as np
 import scipy
 import scipy.fft
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import SolveError
@@ -23,22 +24,23 @@ from .grid import Grid, level_weights
 RTOL = 1e-10  # every solve's residual contract; perfbench/run.py repeats it
 
 
-def upper_band(matrix: sp.csr_matrix) -> np.ndarray:
-    """The upper triangle of a sparse symmetric matrix in LAPACK ``pb``
-    storage (``BandCholesky``), Fortran-ordered so that it can be
-    factored in place; kd is the widest stored upper offset."""
-    upper = sp.triu(matrix, format="coo")
-    kd = int((upper.col - upper.row).max())
+def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """The lower triangle of a sparse symmetric matrix in LAPACK ``pb``
+    lower storage (``BandCholesky``), Fortran-ordered so that it can be
+    factored in place; kd is the widest stored lower offset."""
+    lower = sp.tril(matrix, format="coo")
+    kd = int((lower.row - lower.col).max())
     band = np.zeros((kd + 1, matrix.shape[0]), order="F")
-    band[kd + upper.row - upper.col, upper.col] = upper.data
+    band[lower.row - lower.col, lower.col] = lower.data
     return band
 
 
 class BandCholesky:
-    """Banded Cholesky factor (Martin & Wilkinson 1965; LAPACK ``dpbtrf``)
-    of a symmetric positive definite matrix given by its upper band in
-    LAPACK ``pb`` storage, ``band[kd + i - j, j] = M[i, j]`` for
-    j - kd <= i <= j; ``solve`` runs ``dpbtrs`` on the factor.
+    """Banded Cholesky factor M = L L^T (Martin & Wilkinson 1965; LAPACK
+    ``dpbtrf``) of a symmetric positive definite matrix given by its lower
+    band in LAPACK ``pb`` storage, ``band[i - j, j] = M[i, j]`` for
+    j <= i <= j + kd; ``factor`` holds L in the same storage, and
+    ``solve`` runs ``dpbtrs`` on it.
 
     A band that is not positive definite raises SolveError with the
     ``describe(row)`` pair (the matrix, the place) of the first row whose
@@ -47,14 +49,14 @@ class BandCholesky:
     """
 
     def __init__(self, band: np.ndarray, describe, overwrite: bool = False):
-        self._factor, info = dpbtrf(band, overwrite_ab=overwrite)
+        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=overwrite)
         if info != 0:
             what, where = describe(info - 1)
             raise SolveError(f"{what} is not positive definite "
                              f"(banded Cholesky stopped at {where})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = dpbtrs(self._factor, rhs.reshape(-1, 1))
+        x, _ = dpbtrs(self.factor, rhs.reshape(-1, 1), lower=1)
         return x.ravel()
 
 
@@ -103,12 +105,21 @@ class ModalSolver:
 
     ``band`` is the upper band of W_y M_m over all modes in LAPACK ``pb``
     storage, W_y the trapezoid level weights that make each block
-    symmetric (``OperatorSet.band``, ``operators.level_weights``).  It
-    is factored once by ``BandCholesky``, and a solve scales b by W_y,
-    transforms it with one DST, runs one banded solve over all modes and
-    transforms back: the FFT-and-band direct solver of Hockney (1965) and
-    Buzbee, Golub & Nielson (1970).  A band that is not positive definite
-    raises SolveError.
+    symmetric (``OperatorSet.band``, ``operators.level_weights``).  Its
+    rows are moved into lower storage and factored once by
+    ``BandCholesky``, and the factor L is kept in unit-diagonal form,
+    M = L~ D^2 L~^T with L~ = L D^-1 and D = diag(L) (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., sec. 4.3).  A solve scales b by W_y,
+    transforms it with one DST, runs the two unit-diagonal triangular
+    sweeps (BLAS ``dtbsv``) over all modes with one product by 1/D^2
+    between them, and transforms back: the FFT-and-band direct solver of
+    Hockney (1965) and Buzbee, Golub & Nielson (1970).  At half-band 2 the
+    division in each step of ``dpbtrs``'s recurrence is what bounds its
+    sweeps; the unit sweeps have none and took half its time.  L~^T is
+    stored as an upper band, whose sweeps ran faster than those on L~'s
+    lower band, and Fortran-ordered, since f2py copies any other layout
+    on every call.
+    A band that is not positive definite raises SolveError.
     """
 
     def __init__(self, band: np.ndarray, grid: Grid):
@@ -119,12 +130,29 @@ class ModalSolver:
             mode, level = divmod(row, grid.K + 2)
             return f"modal block of x mode {mode + 1}", f"level {level}"
 
-        self._factor = BandCholesky(band, describe)
+        self._kd = kd = band.shape[0] - 1
+        n = band.shape[1]
+        lower = np.zeros(band.shape, order="F")
+        for d in range(kd + 1):
+            lower[d, :n - d] = band[kd - d, d:]
+        factor = BandCholesky(lower, describe, overwrite=True).factor
+        pivots = factor[0]
+        self._inverse_square_pivots = 1.0 / (pivots * pivots)
+        self._unit = np.zeros(band.shape, order="F")
+        for d in range(kd + 1):
+            self._unit[kd - d, d:] = factor[d, :n - d] / pivots[:n - d]
+
+    def solve_modes(self, modes: np.ndarray) -> np.ndarray:
+        """The band solve alone: the solution of the W_y-scaled blocks for
+        right-hand sides stacked mode by mode, written over ``modes``."""
+        y = dtbsv(self._kd, self._unit, modes, trans=1, diag=1, overwrite_x=1)
+        y *= self._inverse_square_pivots
+        return dtbsv(self._kd, self._unit, y, diag=1, overwrite_x=1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = rhs.reshape(self._shape) * self._weights
         modes = scipy.fft.dst(b, type=1, axis=1, norm="ortho").T.ravel()
-        x = self._factor.solve(modes)
+        x = self.solve_modes(modes)
         return scipy.fft.idst(x.reshape(self._shape[::-1]).T, type=1, axis=1,
                               norm="ortho").ravel()
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from ._direct import BandCholesky, _norm, one_blas_thread, upper_band
+from ._direct import BandCholesky, _norm, lower_band, one_blas_thread
 from .errors import ConvergenceError, SequencingError, ShapeError
 from .grid import Grid, build_weights
 from .model import ModelConfig, stretch_integral
@@ -165,7 +165,10 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
     quarter of the unknowns.  Its A is positive definite and a band, so it
     is factored once by banded Cholesky (``_direct.BandCholesky``) and each
     sweep runs one banded solve, both on one BLAS thread
-    (``_direct.one_blas_thread``).
+    (``_direct.one_blas_thread``).  The solve stays ``dpbtrs``: at
+    half-band 204 its sweeps are bound by their dot products, not by the
+    division that the modal solver's unit-diagonal form removes, and that
+    form's conversion cost more than it saved.
 
     Iteration stops when the Rayleigh quotient is stationary to 1e-8
     relative.  It is taken by quadrature, as ``form_value`` takes the
@@ -183,7 +186,7 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
         return "folded plate Gram matrix", f"row {row}, node j = {j + 1}, k = {k}"
 
     with one_blas_thread():
-        factor = BandCholesky(upper_band(pencil.A), describe, overwrite=True)
+        factor = BandCholesky(lower_band(pencil.A), describe, overwrite=True)
         x = np.ones(pencil.A.shape[0])
         x /= _norm(x)
         rho_prev = math.inf

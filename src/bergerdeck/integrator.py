@@ -19,8 +19,9 @@ The orthonormal DST-I along x diagonalizes the hinged x second difference,
 and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
 J independent pentadiagonal (K+2) x (K+2) systems, one per x sine mode
 (Lynch, Rice & Thomas 1964), which the trapezoid y weights make symmetric
-positive definite.  One banded Cholesky factor of all of them is formed
-per ``FactorizedSystem`` from a plate's ``operators.OperatorSet`` (its
+positive definite.  One banded Cholesky factor of all of them, kept in
+unit-diagonal form (``_direct.ModalSolver``), is formed per
+``FactorizedSystem`` from a plate's ``operators.OperatorSet`` (its
 sparse B and the modal band made with it), and any number of runs can
 march on it; each solve is still checked against the residual contract,
 with M x formed as x + dt^2/2 (B x) from the sparse B, and that B x is
@@ -71,7 +72,8 @@ class FactorizedSystem:
     (K+2) block per mode; scaled by the trapezoid level weights W_y, the
     blocks are symmetric positive definite, and their band W_y + dt^2/2
     ``ops.band``, formed as a new array, is factored once by banded
-    Cholesky, so a solve is two transforms and one banded solve.
+    Cholesky and kept in unit-diagonal form, so a solve is two transforms
+    and two banded triangular sweeps with no division in them.
     Every solve is checked against the relative residual contract
     ``_direct.RTOL``, with M x formed as x + dt^2/2 (B x) from the sparse B;
     a miss raises SolveError.  ``solve`` returns that B x with x, so the

@@ -21,7 +21,8 @@ def solve_static(f: np.ndarray, ops: OperatorSet) -> np.ndarray:
     pentadiagonal (K+2) x (K+2) block per sine mode, symmetric positive
     definite once scaled by the trapezoid level weights; all blocks are
     factored as one band by banded Cholesky from ``ops.band``, the band
-    ``build_operators`` made with the operator, and the solve is checked
+    ``build_operators`` made with the operator, and solved by the unit-
+    diagonal sweeps of ``_direct.ModalSolver``; the solve is checked
     against the residual contract ``_direct.RTOL`` on the sparse operator;
     a miss raises SolveError carrying the achieved residual as a
     conditioning diagnostic.

@@ -732,9 +732,35 @@ def test_output_digests_prints_only_the_paths_that_differ(monkeypatch, capsys):
 
     trees = {"a": [("e.csv", "1"), ("stdout/lambda1.txt", "2"), ("x.svg", "3")],
              "b": [("e.csv", "1"), ("stdout/lambda1.txt", "4"), ("y.svg", "3")]}
-    monkeypatch.setattr(output_digests, "digests", lambda src: trees[src.name])
+    monkeypatch.setattr(output_digests, "digests", lambda src, keep: trees[src.name])
     monkeypatch.setattr(Path, "is_file", lambda path: True)
     assert output_digests.main(["a", "b"]) == 1
     assert capsys.readouterr().out.split() == ["stdout/lambda1.txt", "x.svg", "y.svg"]
     assert output_digests.main(["a", "a"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_output_digests_reports_each_numeric_column_of_a_changed_csv(
+        monkeypatch, capsys, tmp_path):
+    import output_digests
+
+    tables = {"a": "label,t,u\nfig6,0,2\nfig7,1,-4\n",
+              "b": "label,t,u\nfig6,0,2.5\nfig7,1,-4\n"}
+
+    def fake_digests(src, keep):
+        keep.mkdir()
+        (keep / "e.csv").write_text(tables[src.name])
+        return [("e.csv", tables[src.name])]
+
+    for name in tables:
+        (tmp_path / name / "bergerdeck").mkdir(parents=True)
+        (tmp_path / name / "bergerdeck" / "__init__.py").write_text("")
+    monkeypatch.setattr(output_digests, "digests", fake_digests)
+    assert output_digests.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "e.csv", "  t: 0 relative, 0 of max |a|",
+        "  u: 0.25 relative, 0.125 of max |a|"]
+    tables["b"] = "label,t,u\nfig6,0,2\n"
+    assert output_digests.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "e.csv", "  header or row count differs"]

@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpbtrf
 
 from bergerdeck import build_grid, build_operators, sin_load, solve_static
 from bergerdeck._direct import (BandCholesky, ModalSolver, _scipy_openblas,
-                                one_blas_thread, refine_solve)
+                                lower_band, one_blas_thread, refine_solve)
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
 from bergerdeck.operators import assemble_plate, level_weights
@@ -150,6 +150,15 @@ def _shifted(grid, sigma, dt):
     return band
 
 
+def _modal_matrix(band):
+    """The sparse symmetric matrix an upper band in LAPACK ``pb`` storage
+    defines: W_y M_m of every mode on its diagonal blocks."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    offsets = list(range(-kd, kd + 1))
+    diagonals = [band[kd - abs(d), abs(d):] for d in offsets]
+    return sp.diags(diagonals, offsets, shape=(n, n), format="csr")
+
+
 def _gap(x, reference):
     return np.linalg.norm(x - reference) / np.linalg.norm(reference)
 
@@ -234,12 +243,46 @@ def test_band_not_positive_definite_raises():
 def test_band_is_factored_in_place_only_on_request():
     # every system of a plate shares its OperatorSet.band
     grid = build_grid(7, 5, math.pi / 4)
-    band = np.asfortranarray(assemble_plate(grid, 0.2)[1])
+    upper = assemble_plate(grid, 0.2)[1]
+    kept = upper.copy()
+    ModalSolver(upper, grid)
+    assert np.array_equal(upper, kept)
+    band = lower_band(_modal_matrix(upper))
     kept = band.copy()
-    ModalSolver(band, grid)
-    assert np.array_equal(band, kept)
     BandCholesky(band, None, overwrite=True)
     assert not np.array_equal(band, kept)
+
+
+# --- the unit-diagonal sweeps against dense solves of the mode blocks ---------
+# The sweeps solve every W_y-scaled block W_y (I + dt^2/2 B_m) at once; a
+# dense LU solve of one block differs from them by about eps cond(block),
+# under 1e6 at K <= 15 as above, so each block's gap is held to 1e-10.
+
+def _banded_dense(band):
+    """The dense lower triangle a lower band in LAPACK ``pb`` storage holds."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    dense = np.zeros((n, n))
+    for col in range(n):
+        for row in range(col, min(n, col + kd + 1)):
+            dense[row, col] = band[row - col, col]
+    return dense
+
+
+@settings(max_examples=30, deadline=None)
+@given(**plates)
+def test_unit_sweeps_match_dense_mode_blocks(J, K, sigma, dt, seed):
+    grid = build_grid(J, K, math.pi / 4)
+    band = _shifted(grid, sigma, dt)
+    matrix = _modal_matrix(band)
+    assert np.array_equal(_banded_dense(lower_band(matrix)),
+                          np.tril(matrix.toarray()))
+    modes = np.random.default_rng(seed).normal(size=grid.n_dof)
+    x = ModalSolver(band, grid).solve_modes(modes.copy())
+    levels = K + 2
+    for m in range(J):
+        block = slice(m * levels, (m + 1) * levels)
+        reference = np.linalg.solve(matrix[block, block].toarray(), modes[block])
+        assert _gap(x[block], reference) <= 1e-10
 
 
 @pytest.mark.skipif(_scipy_openblas() is None,

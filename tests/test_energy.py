@@ -11,7 +11,7 @@ import bergerdeck.energy as energy_mod
 from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
                         build_grid, build_operators, build_weights,
                         dissipation_residual, lambda1_estimate, make_model)
-from bergerdeck._direct import BandCholesky, upper_band
+from bergerdeck._direct import BandCholesky, lower_band
 from bergerdeck.energy import QuarterPencil
 from bergerdeck.errors import SequencingError, ShapeError, SolveError
 from oracles import (folded_grams, folded_splu, full_grid_lambda1,
@@ -256,7 +256,7 @@ def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
     grid = build_grid(J, K, l)
     assert (grid.K + 2) % 2 == odd_levels
     A = QuarterPencil(grid, sigma).A
-    band = upper_band(A)
+    band = lower_band(A)
     # level-fastest, a 2-D stencil reaching two nodes each way is a band
     # of half-width two quarter columns plus two
     levels = grid.K + 2 - (grid.K + 2) // 2
@@ -264,9 +264,9 @@ def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
     assert kd == 2 * levels + 2
     rebuilt = np.zeros(A.shape)
     for col in range(A.shape[0]):
-        for row in range(max(0, col - kd), col + 1):
-            rebuilt[row, col] = band[kd + row - col, col]
-    assert np.array_equal(rebuilt, np.triu(A.toarray()))
+        for row in range(col, min(A.shape[0], col + kd + 1)):
+            rebuilt[row, col] = band[row - col, col]
+    assert np.array_equal(rebuilt, np.tril(A.toarray()))
     rhs = np.random.default_rng(seed).normal(size=A.shape[0])
     x = BandCholesky(band, None, overwrite=True).solve(rhs)
     reference = folded_splu(A).solve(rhs)
