@@ -42,14 +42,15 @@ class BandCholesky:
     j <= i <= j + kd; ``factor`` holds L in the same storage, and
     ``solve`` runs ``dpbtrs`` on it.
 
+    A Fortran-ordered band is factored in place, even a read-only one (f2py
+    writes through it), so a band shared with others must be copied first.
     A band that is not positive definite raises SolveError with the
     ``describe(row)`` pair (the matrix, the place) of the first row whose
-    pivot fails.  With ``overwrite`` a Fortran-ordered band is factored in
-    place instead of copied.
+    pivot fails.
     """
 
-    def __init__(self, band: np.ndarray, describe, overwrite: bool = False):
-        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=overwrite)
+    def __init__(self, band: np.ndarray, describe):
+        self.factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             what, where = describe(info - 1)
             raise SolveError(f"{what} is not positive definite "
@@ -103,22 +104,21 @@ class ModalSolver:
     into one pentadiagonal (K+2) x (K+2) block M_m per sine mode (Lynch,
     Rice & Thomas 1964), on the field of ``grid`` flattened from (K+2, J).
 
-    ``band`` is the upper band of W_y M_m over all modes in LAPACK ``pb``
+    ``band`` is the lower band of W_y M_m over all modes in LAPACK ``pb``
     storage, W_y the trapezoid level weights that make each block
-    symmetric (``OperatorSet.band``, ``operators.level_weights``).  Its
-    rows are moved into lower storage and factored once by
-    ``BandCholesky``, and the factor L is kept in unit-diagonal form,
-    M = L~ D^2 L~^T with L~ = L D^-1 and D = diag(L) (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., sec. 4.3).  A solve scales b by W_y,
-    transforms it with one DST, runs the two unit-diagonal triangular
-    sweeps (BLAS ``dtbsv``) over all modes with one product by 1/D^2
-    between them, and transforms back: the FFT-and-band direct solver of
-    Hockney (1965) and Buzbee, Golub & Nielson (1970).  At half-band 2 the
-    division in each step of ``dpbtrs``'s recurrence is what bounds its
-    sweeps; the unit sweeps have none and took half its time.  L~^T is
-    stored as an upper band, whose sweeps ran faster than those on L~'s
-    lower band, and Fortran-ordered, since f2py copies any other layout
-    on every call.
+    symmetric (``OperatorSet.band``, ``operators.level_weights``).  A copy
+    of it is factored once by ``BandCholesky``, and the factor L is kept
+    in unit-diagonal form, M = L~ D^2 L~^T with L~ = L D^-1 and D = diag(L)
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., sec. 4.3).  A solve
+    scales b by W_y, transforms it with one DST, runs the two unit-diagonal
+    triangular sweeps (BLAS ``dtbsv``) over all modes with one product by
+    1/D^2 between them, and transforms back: the FFT-and-band direct
+    solver of Hockney (1965) and Buzbee, Golub & Nielson (1970).  At
+    half-band 2 the division in each step of ``dpbtrs``'s recurrence is
+    what bounds its sweeps; the unit sweeps have none and took half its
+    time.  L~^T is stored as an upper band, whose sweeps ran faster than
+    those on L~'s lower band, and Fortran-ordered, since f2py copies any
+    other layout on every call.
     A band that is not positive definite raises SolveError.
     """
 
@@ -132,10 +132,7 @@ class ModalSolver:
 
         self._kd = kd = band.shape[0] - 1
         n = band.shape[1]
-        lower = np.zeros(band.shape, order="F")
-        for d in range(kd + 1):
-            lower[d, :n - d] = band[kd - d, d:]
-        factor = BandCholesky(lower, describe, overwrite=True).factor
+        factor = BandCholesky(np.array(band, order="F"), describe).factor
         pivots = factor[0]
         self._inverse_square_pivots = 1.0 / (pivots * pivots)
         self._unit = np.zeros(band.shape, order="F")

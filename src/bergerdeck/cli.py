@@ -108,6 +108,9 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
         fail(f"T must be nonnegative, got {cfg.T}")
     if cfg.record_stride < 1:
         fail(f"record_stride must be >= 1, got {cfg.record_stride}")
+    for t in (cfg.T, *cfg.snapshots):
+        if not math.isfinite(t / cfg.dt):
+            fail(f"time {t:g} over dt = {cfg.dt:g} is not a finite number of steps")
     for key in ("csv", "svg") if cfg.svg is not None else ("csv",):
         path = getattr(cfg, key)
         # a config document ends a value at '#' or a line break and strips
@@ -374,9 +377,13 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    if round(cfg.T / cfg.dt) < 1:
+    n_steps = round(cfg.T / cfg.dt)
+    if n_steps < 1:
         raise ConfigError(f"T = {cfg.T:g} rounds to 0 steps of dt = {cfg.dt:g}; "
                           f"run needs at least one step")
+    if cfg.svg and n_steps < 2:
+        raise ConfigError(f"T = {cfg.T:g} rounds to 1 step of dt = {cfg.dt:g}; "
+                          f"an SVG chart needs at least 2 steps to plot")
     # before the march
     _check_directory(cfg.csv, "energy CSV")
     for t_req in cfg.snapshots:

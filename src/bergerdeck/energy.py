@@ -186,7 +186,7 @@ def lambda1_estimate(grid: Grid, sigma: float) -> float:
         return "folded plate Gram matrix", f"row {row}, node j = {j + 1}, k = {k}"
 
     with one_blas_thread():
-        factor = BandCholesky(lower_band(pencil.A), describe, overwrite=True)
+        factor = BandCholesky(lower_band(pencil.A), describe)
         x = np.ones(pencil.A.shape[0])
         x /= _norm(x)
         rho_prev = math.inf

@@ -36,6 +36,7 @@ read by the step off it, its energy record and the damping ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +89,7 @@ class FactorizedSystem:
         self.ops = ops
         self.dt = dt
         band = ops.band * (dt * dt / 2.0)
-        band[2] += np.tile(level_weights(ops.grid), ops.grid.J)
+        band[0] += np.tile(level_weights(ops.grid), ops.grid.J)
         self._solver = ModalSolver(band, ops.grid)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,12 +220,15 @@ def run(model: ModelConfig, sys: FactorizedSystem, U0: np.ndarray,
     Each level's terms feed the ledger, its record and the next step.  Each
     snapshot time is taken at step round(t/dt); a time that rounds outside
     steps 1..N, or onto the step of an earlier request, raises
-    ParameterError.
+    ParameterError, as does a T or a time over dt that is not finite.
     Identical inputs produce bitwise-identical records.
     """
     ops, dt = sys.ops, sys.dt
     if record_stride < 1:
         raise ShapeError(f"record stride must be >= 1, got {record_stride}")
+    if not all(math.isfinite(t / dt) for t in (T, *snapshot_times)):
+        raise ParameterError(f"T = {T:g} or a snapshot time over dt = {dt:g} "
+                             f"is not a finite number of steps")
     n_steps = int(round(T / dt))
     wanted_steps: dict[int, float] = {}
     for t_req in snapshot_times:

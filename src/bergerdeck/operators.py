@@ -13,7 +13,7 @@ DIA storage (Saad 2003, sec. 3.4).  The bilaplacian is one level polynomial
 its Kronecker sum is the sparse operator, and the DST-I in x evaluates it
 at each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which
 the trapezoid y weights make symmetric; ``modal_band`` stacks the blocks'
-upper bands for one banded Cholesky factorization.  The u_xy map is a
+lower bands for one banded Cholesky factorization.  The u_xy map is a
 Kronecker sum of the same kind, and ``quarter_maps`` folds every
 difference map onto the even-even quarter.
 """
@@ -64,28 +64,17 @@ def assemble_d2_1d(n: int, h: float) -> sp.csr_matrix:
 
 
 def assemble_d4_hinged_1d(n: int, h: float) -> sp.csr_matrix:
-    """Fourth difference [1, -4, 6, -4, 1]/h^4 with hinged ends.
-
-    At a hinged end both the value and the curvature vanish, so the ghost
-    value is the negated mirror of the first interior one and the corner
-    diagonal entry becomes 5/h^4.
+    """Fourth difference [1, -4, 6, -4, 1]/h^4 with hinged ends, formed as
+    the sparse square of ``assemble_d2_1d``: at a hinged end both the value
+    and the curvature vanish, so the ghost value is the negated mirror of
+    the first interior one and the corner diagonal entry becomes 5/h^4.
     """
     if n < 5:
         raise SizingError(f"fourth-difference matrix needs n >= 5, got {n}")
     if h <= 0:
         raise SizingError(f"spacing must be positive, got {h}")
-    base = 1.0 / (h * h)
-    a = base * base
-    # accumulate entries exactly as the sparse self-product of the second
-    # difference does, so D4 == D2 @ D2 holds entrywise in floating point
-    five = a + 4.0 * a
-    six = (a + 4.0 * a) + a
-    four = -2.0 * a + -2.0 * a
-    main = np.full(n, six)
-    main[0] = main[-1] = five
-    off1 = np.full(n - 1, four)
-    off2 = np.full(n - 2, a)
-    return _finalize(sp.diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2]))
+    d2 = assemble_d2_1d(n, h)
+    return _finalize(d2 @ d2)
 
 
 def assemble_dxx(grid: Grid) -> SparseOperator:
@@ -217,7 +206,7 @@ def _bilaplacian_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
 def assemble_plate(grid: Grid, sigma: float) -> tuple[SparseOperator, np.ndarray]:
     """The bilaplacian and its ``modal_band`` from one evaluation of the
     level polynomial ``_bilaplacian_levels``: B = sum_p kron(P_p, Lx^p),
-    with Lx^2 the hinged fourth difference (equal to Lx @ Lx entrywise)."""
+    with Lx^2 the hinged fourth difference, formed as Lx @ Lx."""
     levels = _bilaplacian_levels(grid, sigma)
     powers = (sp.identity(grid.J), assemble_d2_1d(grid.J, grid.dx),
               assemble_d4_hinged_1d(grid.J, grid.dx))
@@ -235,18 +224,18 @@ def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
 def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
     """The bilaplacian of the level matrices ``levels`` of
     ``_bilaplacian_levels`` in x sine modes, scaled by W_y
-    (``level_weights``), as one upper band in LAPACK ``pb`` storage: shape
-    (3, J (K+2)), row 2 - d holding diagonal d, and index (m-1)(K+2) + k
-    holding level k of mode m.  Diagonals d > 0 are zero where they cross
-    from one mode to the next.
+    (``level_weights``), as one lower band in LAPACK ``pb`` storage,
+    ``band[i - j, j] = M[i, j]``: shape (3, J (K+2)), row d holding the
+    d-th subdiagonal, and index (m-1)(K+2) + k holding level k of mode m.
+    Diagonals d > 0 are zero where they cross from one mode to the next.
 
     The orthonormal DST-I diagonalizes Lx, with eigenvalue mu_m = -4/dx^2
     sin^2(m pi / (2(J+1))) on mode m, so mode m's block is the level
     polynomial at mu = mu_m: P_0 + mu P_1 + mu^2 P_2, pentadiagonal in the
     levels.  The discrete plate form is symmetric (D B = B^T D), so W_y P_p
     is symmetric up to the rounding of its entries, and W_y times the block
-    is symmetric positive definite; the band holds its upper triangle, read
-    from the diagonals of the P_p.
+    is symmetric positive definite; the band holds its lower triangle as the
+    mirror of the upper one, read from the diagonals of the P_p.
     """
     n = grid.K + 2
     m = np.arange(1, grid.J + 1)[:, None]
@@ -258,7 +247,7 @@ def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
         diagonal = mu * p1
         diagonal += p0
         diagonal += mu * mu * p2
-        band[2 - d, :, d:] = weights[:n - d] * diagonal
+        band[d, :, :n - d] = weights[:n - d] * diagonal
     return band.reshape(3, -1)
 
 

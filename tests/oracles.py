@@ -327,6 +327,17 @@ def folded_splu(A: sp.csr_matrix):
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
+def band_matrix(band: np.ndarray) -> sp.csr_matrix:
+    """The sparse symmetric matrix M a lower band in LAPACK ``pb`` storage
+    defines, ``band[i - j, j] = M[i, j]``: subdiagonal and superdiagonal d
+    both read row d of the band (``operators.modal_band``,
+    ``_direct.lower_band``)."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    offsets = list(range(-kd, kd + 1))
+    diagonals = [band[abs(d), :n - abs(d)] for d in offsets]
+    return sp.diags(diagonals, offsets, shape=(n, n), format="csr")
+
+
 def assemble_dy4(grid: Grid, sigma: float) -> sp.csr_matrix:
     """y fourth difference with free-edge ghost levels eliminated."""
     lx = assemble_d2_1d(grid.J, grid.dx)

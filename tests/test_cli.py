@@ -359,6 +359,33 @@ def test_main_run_without_steps_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_one_step_svg_exits_1_before_the_march(tmp_path, capsys,
+                                                   monkeypatch):
+    # one step leaves one energy record, and a chart needs two points
+    import bergerdeck.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "run_config",
+                        lambda *args, **kwargs: pytest.fail("the run marched"))
+    svg = tmp_path / "energy.svg"
+    cfg_path = _small_config_text(tmp_path)
+    assert main(["run", "--config", cfg_path, "--T", "0.05",
+                 "--svg", str(svg)]) == 1
+    assert "SVG chart needs at least 2 steps" in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("extra, options", [
+    ({}, ["--T", "1e300", "--dt", "1e-10"]), ({"snapshots": "1e308"}, [])],
+    ids=["T", "snapshot"])
+def test_main_run_past_the_float_range_of_steps_exits_1(tmp_path, capsys,
+                                                        extra, options):
+    # 1e300 / 1e-10 and 1e308 / 0.05 overflow to inf, and round(inf)
+    # raised OverflowError
+    cfg_path = _small_config_text(tmp_path, **extra)
+    assert main(["run", "--config", cfg_path, *options]) == 1
+    assert "not a finite number of steps" in capsys.readouterr().err
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_main_validation_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physics]\nsigma = 0.9\n")

@@ -14,7 +14,7 @@ from bergerdeck._direct import (BandCholesky, ModalSolver, _scipy_openblas,
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
 from bergerdeck.operators import assemble_plate, level_weights
-from oracles import dense_bilaplacian
+from oracles import band_matrix, dense_bilaplacian
 
 RTOL = 1e-10
 
@@ -146,17 +146,8 @@ def _plate(J, K, sigma, seed):
 def _shifted(grid, sigma, dt):
     """The band of W_y (I + dt^2/2 B)."""
     band = (dt * dt / 2.0) * assemble_plate(grid, sigma)[1]
-    band[2] += np.tile(level_weights(grid), grid.J)
+    band[0] += np.tile(level_weights(grid), grid.J)
     return band
-
-
-def _modal_matrix(band):
-    """The sparse symmetric matrix an upper band in LAPACK ``pb`` storage
-    defines: W_y M_m of every mode on its diagonal blocks."""
-    kd, n = band.shape[0] - 1, band.shape[1]
-    offsets = list(range(-kd, kd + 1))
-    diagonals = [band[kd - abs(d), abs(d):] for d in offsets]
-    return sp.diags(diagonals, offsets, shape=(n, n), format="csr")
 
 
 def _gap(x, reference):
@@ -228,29 +219,42 @@ def test_band_factors_near_the_sigma_ends(J, K, sigma, dt):
     # W_y B and W_y (I + dt^2/2 B) are positive definite in every mode
     grid = build_grid(J, K, math.pi / 4)
     for band in (assemble_plate(grid, sigma)[1], _shifted(grid, sigma, dt)):
-        _, info = dpbtrf(band)
+        _, info = dpbtrf(band, lower=1)
         assert info == 0
 
 
 def test_band_not_positive_definite_raises():
     grid = build_grid(5, 3, math.pi / 4)
     band = assemble_plate(grid, 0.2)[1]
-    band[2, 7] = -1.0  # the diagonal at level 2 of mode 2
+    band[0, 7] = -1.0  # the diagonal at level 2 of mode 2
     with pytest.raises(SolveError, match="x mode 2 is not positive definite"):
         ModalSolver(band, grid)
 
 
 def test_band_is_factored_in_place_only_on_request():
-    # every system of a plate shares its OperatorSet.band
+    # every system of a plate shares its OperatorSet.band: ModalSolver
+    # factors a copy of it, and BandCholesky factors what it is given
     grid = build_grid(7, 5, math.pi / 4)
-    upper = assemble_plate(grid, 0.2)[1]
-    kept = upper.copy()
-    ModalSolver(upper, grid)
-    assert np.array_equal(upper, kept)
-    band = lower_band(_modal_matrix(upper))
+    band = assemble_plate(grid, 0.2)[1]
     kept = band.copy()
-    BandCholesky(band, None, overwrite=True)
+    ModalSolver(band, grid)
+    assert np.array_equal(band, kept)
+    band = lower_band(band_matrix(band))
+    kept = band.copy()
+    BandCholesky(band, None)
     assert not np.array_equal(band, kept)
+
+
+def test_modal_solver_leaves_a_read_only_fortran_band_alone():
+    # f2py hands a read-only Fortran-ordered array to dpbtrf as it is and
+    # lets it write through; any other layout it copies first, so only this
+    # band shows whether ModalSolver factors a copy
+    grid = build_grid(7, 5, math.pi / 4)
+    band = np.asfortranarray(assemble_plate(grid, 0.2)[1])
+    band.setflags(write=False)
+    kept = band.copy()
+    ModalSolver(band, grid)
+    assert np.array_equal(band, kept)
 
 
 # --- the unit-diagonal sweeps against dense solves of the mode blocks ---------
@@ -258,23 +262,13 @@ def test_band_is_factored_in_place_only_on_request():
 # dense LU solve of one block differs from them by about eps cond(block),
 # under 1e6 at K <= 15 as above, so each block's gap is held to 1e-10.
 
-def _banded_dense(band):
-    """The dense lower triangle a lower band in LAPACK ``pb`` storage holds."""
-    kd, n = band.shape[0] - 1, band.shape[1]
-    dense = np.zeros((n, n))
-    for col in range(n):
-        for row in range(col, min(n, col + kd + 1)):
-            dense[row, col] = band[row - col, col]
-    return dense
-
-
 @settings(max_examples=30, deadline=None)
 @given(**plates)
 def test_unit_sweeps_match_dense_mode_blocks(J, K, sigma, dt, seed):
     grid = build_grid(J, K, math.pi / 4)
     band = _shifted(grid, sigma, dt)
-    matrix = _modal_matrix(band)
-    assert np.array_equal(_banded_dense(lower_band(matrix)),
+    matrix = band_matrix(band)
+    assert np.array_equal(np.tril(band_matrix(lower_band(matrix)).toarray()),
                           np.tril(matrix.toarray()))
     modes = np.random.default_rng(seed).normal(size=grid.n_dof)
     x = ModalSolver(band, grid).solve_modes(modes.copy())

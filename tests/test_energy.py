@@ -14,8 +14,9 @@ from bergerdeck import (EnergyRecord, Linear, PlateFormEvaluator, SimState,
 from bergerdeck._direct import BandCholesky, lower_band
 from bergerdeck.energy import QuarterPencil
 from bergerdeck.errors import SequencingError, ShapeError, SolveError
-from oracles import (folded_grams, folded_splu, full_grid_lambda1,
-                     gradient_gram, gradient_integral, hstar_gram, parity_fold)
+from oracles import (band_matrix, folded_grams, folded_splu,
+                     full_grid_lambda1, gradient_gram, gradient_integral,
+                     hstar_gram, parity_fold)
 
 SIGMA = 0.2
 
@@ -260,15 +261,11 @@ def test_band_factor_matches_splu_of_folded_gram(odd_levels, J, half_k, l,
     # level-fastest, a 2-D stencil reaching two nodes each way is a band
     # of half-width two quarter columns plus two
     levels = grid.K + 2 - (grid.K + 2) // 2
-    kd = band.shape[0] - 1
-    assert kd == 2 * levels + 2
-    rebuilt = np.zeros(A.shape)
-    for col in range(A.shape[0]):
-        for row in range(col, min(A.shape[0], col + kd + 1)):
-            rebuilt[row, col] = band[row - col, col]
-    assert np.array_equal(rebuilt, np.tril(A.toarray()))
+    assert band.shape[0] - 1 == 2 * levels + 2
+    assert np.array_equal(np.tril(band_matrix(band).toarray()),
+                          np.tril(A.toarray()))
     rhs = np.random.default_rng(seed).normal(size=A.shape[0])
-    x = BandCholesky(band, None, overwrite=True).solve(rhs)
+    x = BandCholesky(band, None).solve(rhs)
     reference = folded_splu(A).solve(rhs)
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 

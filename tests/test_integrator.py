@@ -341,6 +341,16 @@ def test_run_snapshot_capture(tiny_sys, tiny_model, tiny_grid, tmp_path):
     assert float(x) == pytest.approx(tiny_grid.dx)
 
 
+@pytest.mark.parametrize("T, times", [(1e308, ()), (1.0, (1e308,))],
+                         ids=["T", "snapshot"])
+def test_run_refuses_a_step_count_past_the_float_range(tiny_sys, tiny_model,
+                                                       tiny_grid, T, times):
+    # 1e308 / 0.01 overflows to inf, and round(inf) raised OverflowError
+    u0 = np.zeros(tiny_grid.n_dof)
+    with pytest.raises(ParameterError, match="not a finite number of steps"):
+        run(tiny_model, tiny_sys, u0, u0, T=T, snapshot_times=times)
+
+
 # the values whose shortest round trip is unusual: signed zero, the least
 # subnormal, the extremes near the float64 range, and integral values
 SNAPSHOT_SPECIALS = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -12.0,

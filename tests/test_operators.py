@@ -17,8 +17,9 @@ from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
                                   assemble_dy2, assemble_plate,
                                   cross_derivative_map, level_weights,
                                   quarter_maps)
-from oracles import (assemble_dy4, dense_bilaplacian, dense_dy2, dense_dy4,
-                     free_edge_shorthand_coefficients, free_edge_stencil_report,
+from oracles import (assemble_dy4, band_matrix, dense_bilaplacian, dense_dy2,
+                     dense_dy4, free_edge_shorthand_coefficients,
+                     free_edge_stencil_report,
                      kron_operators, kron_quarter_maps, observed_orders,
                      sparse_bilaplacian_levels, sparse_dy2_levels,
                      sparse_dy4_levels, sparse_dy_levels, x_derivative_map,
@@ -394,11 +395,11 @@ def test_modal_band_reproduces_bilaplacian(J, K, sigma):
     for m in range(J):
         block = np.zeros((n, n))
         for d in range(3):
-            diagonal = band[2 - d].reshape(J, n)[m]
-            assert np.all(diagonal[:d] == 0.0)  # no coupling across modes
-            block += np.diag(diagonal[d:], d)
+            diagonal = band[d].reshape(J, n)[m]
+            assert np.all(diagonal[n - d:] == 0.0)  # no coupling across modes
+            block += np.diag(diagonal[:n - d], d)
             if d:
-                block += np.diag(diagonal[d:], -d)
+                block += np.diag(diagonal[:n - d], -d)
         expected = weights[:, None] * modal[:, m, :, m]
         assert np.abs(block - expected).max() <= 1e-12 * scale
 
@@ -438,7 +439,18 @@ def test_bilaplacian_matches_term_composition(J, K, sigma):
 
 # --- pinned bits ------------------------------------------------------------------
 
-# sha256 over indptr, indices and data (a band: its float64 bytes) on
+def _mode_diagonals(grid):
+    """Diagonals d = 0, 1, 2 of every mode block of W_y B, in that order of
+    d and then of the modes: the modal band's values, whatever its layout."""
+    n = grid.K + 2
+    matrix = band_matrix(assemble_plate(grid, 0.3)[1])
+    blocks = [matrix[m * n:(m + 1) * n, m * n:(m + 1) * n].toarray()
+              for m in range(grid.J)]
+    return np.concatenate([np.diagonal(block, d) for d in range(3)
+                           for block in blocks])
+
+
+# sha256 over indptr, indices and data (an array: its float64 bytes) on
 # build_grid(21, 11, 0.7); the byte-identical energy CSVs rest on these
 # exact operator bits
 PINNED_BITS = {
@@ -456,8 +468,8 @@ PINNED_BITS = {
             "4d6021af271fe2562302650151b5e3b49073afb8a92755179f3db4edacadb8b0"),
     "x_map": (x_derivative_map,
               "22cb7428245e84dfeed7c5cf8f131dae3ab2c8fb1555a220cbd4b4e442655c17"),
-    "modal_band": (lambda g: assemble_plate(g, 0.3)[1],
-                   "7fff2ceb3dcaf1cad47922e3f2ada19ff718398850d7c04eb3d429f941afca83"),
+    "modal_band": (_mode_diagonals,
+                   "a39543f52b41aeb5a114ec9b33508aae2863026984352acbb400b368b5bc0f10"),
 }
 
 

@@ -1,6 +1,8 @@
-"""Every name a package module imports is read somewhere in that module.
+"""Every name a package module imports is read somewhere in that module,
+and every private name a module defines is read somewhere in the package.
 
-``__init__.py`` is skipped: its imports are the package's re-exports."""
+``__init__.py`` is skipped for imports: its imports are the package's
+re-exports."""
 
 import ast
 from pathlib import Path
@@ -8,7 +10,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bergerdeck"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +54,39 @@ def test_module_reads_every_name_it_imports(path):
     unused = [f"line {line}: {name}" for name, line in _imported(tree).items()
               if name not in seen]
     assert not unused, f"{path.name} imports names it never reads: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private function, class and constant names, with their
+    lines; dunder names are not private."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def test_package_reads_every_private_name_it_defines():
+    # an import is not a read: a helper only tests or perfbench call
+    # belongs with them
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in SOURCES}
+    seen = set()
+    for tree in trees.values():
+        seen |= _referenced(tree)
+        seen |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+    defined = [(module, line, name) for module, tree in trees.items()
+               for name, line in _private_definitions(tree).items()]
+    assert defined
+    unread = [f"{module} line {line}: {name}" for module, line, name in defined
+              if name not in seen]
+    assert not unread, f"private names the package never reads: {unread}"
