@@ -232,17 +232,15 @@ def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
 
 def dump_snapshot(U: np.ndarray, grid: Grid, path: str) -> None:
     """Write a flattened field as CSV rows (k, j, x, y, value), every float
-    to 17 significant digits; each x and y coordinate is formatted once."""
+    to 17 significant digits; each x and y coordinate is formatted once,
+    into a template of all rows that one ``%`` fills with the values."""
     if U.shape != (grid.n_dof,):
         raise ShapeError(f"expected field of length {grid.n_dof}, got {U.shape}")
     heads = [f"{j},{x:.17g}," for j, x in enumerate(grid.x_interior().tolist(), 1)]
-    lines = ["k,j,x,y,value"]
-    for k, (y, values) in enumerate(zip(grid.y_levels().tolist(),
-                                        U.reshape(grid.shape).tolist())):
-        y_text = f"{y:.17g},"
-        lines += [f"{k},{head}{y_text}{value:.17g}"
-                  for head, value in zip(heads, values)]
-    _write_lines(path, lines, "snapshot")
+    tails = [f"{y:.17g},%.17g" for y in grid.y_levels().tolist()]
+    rows = "\n".join([f"{k},{head}{tail}" for k, tail in enumerate(tails)
+                      for head in heads])
+    _write_lines(path, ["k,j,x,y,value", rows % tuple(U.tolist())], "snapshot")
 
 
 def read_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:

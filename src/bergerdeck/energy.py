@@ -27,8 +27,8 @@ from ._direct import BandCholesky, _norm, lower_band, one_blas_thread
 from .errors import ConvergenceError, SequencingError, ShapeError
 from .grid import Grid, build_weights
 from .model import ModelConfig, stretch_integral
-from .operators import (OperatorSet, _finalize, _fold, assemble_dy2,
-                        cross_derivative_map, quarter_maps)
+from .operators import (OperatorSet, _cross_map, _dy2_map, _finalize, _fold,
+                        quarter_maps)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .integrator import LevelTerms, SimState
@@ -59,7 +59,8 @@ class PlateFormEvaluator:
     """Evaluates the plate quadratic form and energy records on the grid,
     sigma and weights of ``ops``, with ``ops.dxx`` as the u_xx map.
 
-    Builds the u_yy and u_xy maps once; reuse one instance across a run.
+    Builds the u_yy and u_xy maps once, from ``ops.x_factors``; reuse one
+    instance across a run.
     """
 
     def __init__(self, ops: OperatorSet):
@@ -67,8 +68,8 @@ class PlateFormEvaluator:
         self.sigma = ops.sigma
         self.weights = ops.weights
         self.sxx = ops.dxx
-        self.syy = assemble_dy2(ops.grid, ops.sigma)
-        self.sxy = cross_derivative_map(ops.grid)
+        self.syy = _dy2_map(ops.grid, ops.sigma, ops.x_factors)
+        self.sxy = _cross_map(ops.grid, ops.x_factors)
 
     def form_value(self, U: np.ndarray, uxx: np.ndarray | None = None) -> float:
         """Quadrature of F(u,u) over the rectangle; ``uxx`` is ``sxx @ U``

@@ -1,8 +1,17 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class BergerdeckError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  Each pickles with its message
+    and its extra field, so an error raised in a worker process keeps
+    both."""
+
+    def __reduce__(self):
+        # rebuilt without ``__init__``, whose signature differs per class:
+        # the message from ``args``, the extra field from ``__dict__``
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class SizingError(BergerdeckError, ValueError):

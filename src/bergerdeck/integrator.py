@@ -29,9 +29,10 @@ the next step's B U^n.
 
 The feedback g is evaluated on the collar's nodes only
 (``DampingField.nodes``), since a is zero off the collar.  The terms of a
-field level -- B U^n, D_x^2 U^n, the stretch integral, V^n, a g(V^n) and
-the damping power <a g(V^n), V^n> -- are formed once (``LevelTerms``) and
-read by the step off it, its energy record and the damping ledger.
+field level -- B U^n, D_x^2 U^n, the stretch integral, V^n, the force
+phi(U^n) D_x^2 U^n + a g(V^n) and the damping power <a g(V^n), V^n> -- are
+formed once (``LevelTerms``) and read by the step off it, its energy
+record and the damping ledger.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ class LevelTerms:
     uxx: np.ndarray       # D_x^2 u
     q: float              # stretch integral of u
     velocity: np.ndarray  # V
-    damping: np.ndarray   # a g(V)
     force: np.ndarray     # phi(u) D_x^2 u + a g(V)
     power: float          # <a g(V), V>, the damping ledger's integrand
 
@@ -154,7 +154,7 @@ def _level_terms(u: np.ndarray, v: np.ndarray, model: ModelConfig,
     damping = _damping_force(v, model, ops)
     force, uxx, q = _applied_force(u, damping, model, ops)
     return LevelTerms(bu=ops.bilaplacian @ u if bu is None else bu, uxx=uxx,
-                      q=q, velocity=v, damping=damping, force=force,
+                      q=q, velocity=v, force=force,
                       power=ops.weights.integrate_cells(damping * v))
 
 

@@ -8,14 +8,21 @@ block is c0 I + c1 Lx + c2 Lx^2, so each operator on the flat field is
 sum_p kron(C_p, X_p): the C_p are dense (K+2) x (K+2) level matrices, the
 X_p sparse J x J x factors, and one assembler, ``_kron_sum``, writes every
 operator diagonal by diagonal from the factors' diagonals, straight into
-DIA storage (Saad 2003, sec. 3.4).  The bilaplacian is one level polynomial
-(``_bilaplacian_levels``), evaluated once per plate (``assemble_plate``):
-its Kronecker sum is the sparse operator, and the DST-I in x evaluates it
-at each sine mode's Lx eigenvalue, one pentadiagonal block per mode, which
-the trapezoid y weights make symmetric; ``modal_band`` stacks the blocks'
-lower bands for one banded Cholesky factorization.  The u_xy map is a
-Kronecker sum of the same kind, and ``quarter_maps`` folds every
-difference map onto the even-even quarter.
+DIA storage (Saad 2003, sec. 3.4).  It reads each factor's diagonals in
+one pass over its stored entries (a CSR's ``indptr``, ``indices`` and
+``data``, a dense level's nonzeros), already in DIA layout, so each pair
+of a level and an x diagonal is one outer product written, or added in
+place, into its DIA row.  A plate's x factors I, Lx, Lx^2 and D_x are
+built once (``XFactors``), and ``OperatorSet`` carries them for the
+energy evaluator's u_yy and u_xy maps.  The bilaplacian is one level
+polynomial (``_bilaplacian_levels``), evaluated once per plate
+(``assemble_plate``): its Kronecker sum is the sparse operator, and the
+DST-I in x evaluates it at each sine mode's Lx eigenvalue, one
+pentadiagonal block per mode, which the trapezoid y weights make
+symmetric; ``modal_band`` stacks the blocks' lower bands for one banded
+Cholesky factorization.  The u_xy map is a Kronecker sum of the same
+kind, and ``quarter_maps`` folds every difference map onto the even-even
+quarter.
 """
 
 from __future__ import annotations
@@ -46,6 +53,20 @@ def _finalize(matrix: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
+def _banded(n: int, stencil: dict[int, float]) -> sp.csr_matrix:
+    """The n x n CSR matrix with the nonzero ``stencil[d]`` on each
+    diagonal d, built row by row: sorted column indices, no duplicates
+    and no stored zeros, as ``_finalize`` leaves them."""
+    offsets = np.array(sorted(stencil))
+    cols = np.arange(n)[:, None] + offsets
+    inside = (cols >= 0) & (cols < n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    values = np.broadcast_to([stencil[d] for d in offsets.tolist()], cols.shape)
+    return sp.csr_matrix((values[inside], cols[inside].astype(np.int32), indptr),
+                         shape=(n, n))
+
+
 def check_sigma(sigma: float) -> None:
     if not 0.0 < sigma < 0.5:
         raise ParameterError(f"Poisson ratio sigma must lie in (0, 1/2), got {sigma}")
@@ -58,9 +79,7 @@ def assemble_d2_1d(n: int, h: float) -> sp.csr_matrix:
     if h <= 0:
         raise SizingError(f"spacing must be positive, got {h}")
     base = 1.0 / (h * h)
-    off = np.full(n - 1, base)
-    main = np.full(n, -2.0 * base)
-    return _finalize(sp.diags([off, main, off], [-1, 0, 1]))
+    return _banded(n, {-1: base, 0: -2.0 * base, 1: base})
 
 
 def assemble_d4_hinged_1d(n: int, h: float) -> sp.csr_matrix:
@@ -77,49 +96,92 @@ def assemble_d4_hinged_1d(n: int, h: float) -> sp.csr_matrix:
     return _finalize(d2 @ d2)
 
 
+@dataclass(frozen=True)
+class XFactors:
+    """One plate's 1-D x factors, CSR, each built once (``x_factors``) and
+    read by every Kronecker sum of that plate: I, Lx (``assemble_d2_1d``),
+    Lx^2 = Lx @ Lx (``assemble_d4_hinged_1d``) and D_x (``_centered_dx``)."""
+
+    eye: sp.csr_matrix
+    lx: sp.csr_matrix
+    lx2: sp.csr_matrix
+    dx: sp.csr_matrix
+
+
+def x_factors(grid: Grid) -> XFactors:
+    """The x factors of ``grid``, Lx^2 squared from the one Lx."""
+    lx = assemble_d2_1d(grid.J, grid.dx)
+    return XFactors(eye=sp.identity(grid.J, format="csr"), lx=lx,
+                    lx2=_finalize(lx @ lx), dx=_centered_dx(grid))
+
+
 def assemble_dxx(grid: Grid) -> SparseOperator:
     """x second derivative on the flattened field (one block per level)."""
-    return _kron_sum([np.eye(grid.K + 2)], (assemble_d2_1d(grid.J, grid.dx),))
+    return _dxx_map(grid, x_factors(grid))
 
 
-def _diagonals(matrix) -> dict[int, np.ndarray]:
-    """{d: v, v[i] = matrix[i, i + d] or 0 outside} over the diagonals that
-    hold a nonzero entry of ``matrix``, sparse or dense."""
+def _dxx_map(grid: Grid, x: XFactors) -> SparseOperator:
+    return _kron_sum([np.eye(grid.K + 2)], (x.lx,))
+
+
+def _diagonals(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of the square ``matrix``, sparse or dense, in DIA
+    layout: the ascending offsets d of the diagonals that hold a stored
+    entry (sparse) or a nonzero one (dense), and values[r, j] =
+    matrix[j - offsets[r], j], zero where that row lies outside.  One pass
+    over the entries: a CSR's ``indptr``, ``indices`` and ``data``, or a
+    dense matrix's nonzeros, scattered into one zero-filled array."""
+    n = matrix.shape[0]
     if sp.issparse(matrix):
-        m = sp.csr_matrix(matrix)
-        offsets = m.indices - np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        m = matrix.tocsr()
+        rows = np.repeat(np.arange(n), np.diff(m.indptr))
+        cols, entries = m.indices, m.data
     else:
-        m = matrix
-        rows, cols = np.nonzero(m)
-        offsets = cols - rows
-    return {d: np.pad(m.diagonal(d), (max(0, -d), max(0, d)))
-            for d in np.unique(offsets).tolist()}
+        rows, cols = np.divmod(np.flatnonzero(matrix != 0), n)
+        entries = matrix[rows, cols]
+    shifted = cols - rows + (n - 1)
+    present = np.zeros(2 * n - 1, dtype=bool)
+    present[shifted] = True
+    index = np.cumsum(present) - 1
+    values = np.zeros((index[-1] + 1, n))
+    # add, as ``diagonal`` does, in case a sparse matrix repeats an entry
+    np.add.at(values, (index[shifted], cols), entries)
+    return np.flatnonzero(present) - (n - 1), values
 
 
 def _kron_sum(levels: list, blocks: tuple) -> SparseOperator:
     """sum_p kron(C_p, blocks[p]) on the flat field, from the factors'
-    diagonals: entry (k J + i, (k+e) J + i+d) sums the single products
-    C_p[k, k+e] blocks[p][i, i+d] in order of p, the bits of ``sp.kron``
-    terms added in order.  Each sum over one offset e J + d is one whole
-    diagonal, which goes into the DIA data row by one slice shift; the
-    offsets ascend, since e J + d orders as (e, d) for |d| < J.  Entries
-    that sum to exact zeros stay stored; ``tocsr`` drops them."""
-    n_x = blocks[0].shape[0]
-    sums: dict[int, np.ndarray] = {}
+    diagonals in DIA layout: entry (k J + i, (k+e) J + i+d) sums the single
+    products C_p[k, k+e] blocks[p][i, i+d] in order of p, the bits of
+    ``sp.kron`` terms added in order.  That entry's column (k+e) J + i+d
+    pairs column k+e of level diagonal e with column i+d of block diagonal
+    d, so the outer product of the two is diagonal e J + d of the term,
+    already column-aligned: it is written, or added in place, straight into
+    that offset's DIA row.  The offsets ascend, since e J + d orders as
+    (e, d) for |d| < J.  Entries that sum to exact zeros stay stored;
+    ``tocsr`` drops them."""
+    n_y, n_x = levels[0].shape[0], blocks[0].shape[0]
+    terms = []  # (offset, level diagonal, block diagonal), in order of p
     for level, block in zip(levels, blocks):
-        x_diagonals = _diagonals(block)
-        for e, c in _diagonals(level).items():
-            for d, x in x_diagonals.items():
-                term, key = np.multiply.outer(c, x).ravel(), e * n_x + d
-                sums[key] = sums[key] + term if key in sums else term
-    offsets = sorted(sums)
-    n = len(sums[offsets[0]])
-    data = np.zeros((len(offsets), n))
-    for row, s in zip(data, offsets):
-        # DIA is column-aligned: data[., j] holds entry (j - s, j)
-        lo, hi = max(s, 0), n + min(s, 0)
-        row[lo:hi] = sums[s][lo - s:hi - s]
-    return SparseOperator((data, np.array(offsets, dtype=np.int32)), shape=(n, n))
+        (level_offsets, c), (block_offsets, x) = _diagonals(level), _diagonals(block)
+        terms += [(e * n_x + d, c_e, x_d)
+                  for e, c_e in zip(level_offsets.tolist(), c)
+                  for d, x_d in zip(block_offsets.tolist(), x)]
+    offsets = sorted({s for s, _, _ in terms})
+    row_of = {s: r for r, s in enumerate(offsets)}
+    data = np.empty((len(offsets), n_y, n_x))
+    written, product = set(), np.empty((n_y, n_x))
+    for s, c_e, x_d in terms:
+        row = data[row_of[s]]
+        if s in written:
+            np.multiply(c_e[:, None], x_d, out=product)
+            row += product
+        else:
+            np.multiply(c_e[:, None], x_d, out=row)
+            written.add(s)
+    n = n_y * n_x
+    return SparseOperator((data.reshape(len(offsets), n),
+                           np.array(offsets, dtype=np.int32)), shape=(n, n))
 
 
 def _stencil(ny: int, stencil: tuple, edge: int) -> np.ndarray:
@@ -149,8 +211,11 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
 
 def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
     """y second derivative on the flattened field: kron(T, I) + kron(E, Lx)."""
-    blocks = (sp.identity(grid.J), assemble_d2_1d(grid.J, grid.dx))
-    return _kron_sum(_dy2_levels(grid, sigma), blocks)
+    return _dy2_map(grid, sigma, x_factors(grid))
+
+
+def _dy2_map(grid: Grid, sigma: float, x: XFactors) -> SparseOperator:
+    return _kron_sum(_dy2_levels(grid, sigma), (x.eye, x.lx))
 
 
 def _edge_rows(sigma: float, dy2: float) -> dict:
@@ -207,10 +272,13 @@ def assemble_plate(grid: Grid, sigma: float) -> tuple[SparseOperator, np.ndarray
     """The bilaplacian and its ``modal_band`` from one evaluation of the
     level polynomial ``_bilaplacian_levels``: B = sum_p kron(P_p, Lx^p),
     with Lx^2 the hinged fourth difference, formed as Lx @ Lx."""
+    return _plate_maps(grid, sigma, x_factors(grid))
+
+
+def _plate_maps(grid: Grid, sigma: float,
+                x: XFactors) -> tuple[SparseOperator, np.ndarray]:
     levels = _bilaplacian_levels(grid, sigma)
-    powers = (sp.identity(grid.J), assemble_d2_1d(grid.J, grid.dx),
-              assemble_d4_hinged_1d(grid.J, grid.dx))
-    return _kron_sum(levels, powers), modal_band(grid, levels)
+    return _kron_sum(levels, (x.eye, x.lx, x.lx2)), modal_band(grid, levels)
 
 
 def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
@@ -251,10 +319,10 @@ def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
     return band.reshape(3, -1)
 
 
-def _centered_dx(grid: Grid) -> SparseOperator:
+def _centered_dx(grid: Grid) -> sp.csr_matrix:
     """Centered first difference of one level, hinged zeros at the ends."""
-    off = np.full(grid.J - 1, 1.0 / (2.0 * grid.dx))
-    return sp.diags([-off, off], [-1, 1])
+    off = 1.0 / (2.0 * grid.dx)
+    return _banded(grid.J, {-1: -off, 1: off})
 
 
 def _dy_levels(grid: Grid) -> list[np.ndarray]:
@@ -267,7 +335,11 @@ def _dy_levels(grid: Grid) -> list[np.ndarray]:
 
 def cross_derivative_map(grid: Grid) -> SparseOperator:
     """u_xy map kron(D_y, D_x), each entry a single product."""
-    return _kron_sum(_dy_levels(grid), (_centered_dx(grid),))
+    return _cross_map(grid, x_factors(grid))
+
+
+def _cross_map(grid: Grid, x: XFactors) -> SparseOperator:
+    return _kron_sum(_dy_levels(grid), (x.dx,))
 
 
 def _fold(values: np.ndarray) -> np.ndarray:
@@ -304,7 +376,9 @@ class OperatorSet:
     assembled from them, read by the stepper, the static solve and the
     energy evaluator.  ``band``, read-only, is the bilaplacian's
     ``modal_band``, which the static solve and every
-    ``integrator.FactorizedSystem`` factor from."""
+    ``integrator.FactorizedSystem`` factor from; ``x_factors`` are the 1-D
+    x factors the operators were assembled from, from which the energy
+    evaluator assembles its u_yy and u_xy maps."""
 
     grid: Grid
     sigma: float
@@ -312,15 +386,17 @@ class OperatorSet:
     bilaplacian: SparseOperator
     band: np.ndarray
     dxx: SparseOperator
+    x_factors: XFactors
     damping: DampingField
 
 
 def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
     """Assemble the operators of ``grid`` at ``sigma`` and lay out the
     collar of ``damping_width`` cells (0: no collar) on it."""
-    bilaplacian, band = assemble_plate(grid, sigma)
+    x = x_factors(grid)
+    bilaplacian, band = _plate_maps(grid, sigma, x)
     band.setflags(write=False)
     return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
                        bilaplacian=bilaplacian, band=band,
-                       dxx=assemble_dxx(grid),
+                       dxx=_dxx_map(grid, x), x_factors=x,
                        damping=damping_mask(grid, damping_width))

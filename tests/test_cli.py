@@ -727,18 +727,31 @@ def test_sweep_builds_each_plate_once_with_solo_bytes(tmp_path, monkeypatch,
 
 
 def test_plate_evaluates_the_level_polynomial_and_band_once(monkeypatch):
+    # and a run builds each 1-D x factor once: the plate (all that the
+    # static command assembles) builds them, and the run's u_yy and u_xy
+    # maps reuse them
     import bergerdeck.cli as cli_mod
+    import bergerdeck.energy as energy
     import bergerdeck.operators as operators
 
-    calls = {"_bilaplacian_levels": 0, "modal_band": 0}
+    calls = dict.fromkeys(["_bilaplacian_levels", "modal_band", "x_factors",
+                           "assemble_d2_1d", "assemble_d4_hinged_1d",
+                           "_centered_dx", "_dy2_map", "_cross_map"], 0)
     for name in calls:
         def counted(*args, _inner=getattr(operators, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(operators, name, counted)
-    system, u0 = cli_mod._plate(replace(preset("fig7"), J=21, K=11))
-    assert calls == {"_bilaplacian_levels": 1, "modal_band": 1}
+        if hasattr(energy, name):
+            monkeypatch.setattr(energy, name, counted)
+    cfg = replace(preset("fig7"), J=21, K=11, T=0.05)
+    system, u0 = cli_mod._plate(cfg)
+    once = {"_bilaplacian_levels": 1, "modal_band": 1, "x_factors": 1,
+            "assemble_d2_1d": 1, "assemble_d4_hinged_1d": 0, "_centered_dx": 1}
+    assert calls == {**once, "_dy2_map": 0, "_cross_map": 0}
     assert u0.shape == (system.ops.grid.n_dof,)
+    cli_mod.run_config(cfg, (system, u0))
+    assert calls == {**once, "_dy2_map": 1, "_cross_map": 1}
 
 
 def test_static_solve_and_system_leave_the_shared_band_alone():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from bergerdeck import build_grid
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
-                                  _dy4_levels, _dy_levels, assemble_bilaplacian,
+                                  _dy4_levels, _dy_levels, _kron_sum,
+                                  assemble_bilaplacian,
                                   assemble_d2_1d,
                                   assemble_d4_hinged_1d, assemble_dxx,
                                   assemble_dy2, assemble_plate,
@@ -20,7 +21,7 @@ from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
 from oracles import (assemble_dy4, band_matrix, dense_bilaplacian, dense_dy2,
                      dense_dy4, free_edge_shorthand_coefficients,
                      free_edge_stencil_report,
-                     kron_operators, kron_quarter_maps, observed_orders,
+                     kron_operators, kron_quarter_maps, kron_sum, observed_orders,
                      sparse_bilaplacian_levels, sparse_dy2_levels,
                      sparse_dy4_levels, sparse_dy_levels, x_derivative_map,
                      y_derivative_map)
@@ -338,6 +339,52 @@ def test_operators_are_ascending_dia_with_kron_oracle_bits(J, K, l, sigma, seed)
         n = op.shape[1]
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
         assert (op @ x).tobytes() == (ref @ x).tobytes(), name
+
+
+def _random_level(rng, n: int) -> np.ndarray:
+    """A dense n x n level matrix with random lower and upper bandwidths,
+    some entries in its band zero."""
+    below, above = rng.integers(0, n, size=2)
+    mask = np.tril(np.triu(np.ones((n, n), dtype=bool), -below), above)
+    values = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+    return np.where(mask & (rng.random((n, n)) < 0.8), values, 0.0)
+
+
+def _random_block(rng, n: int) -> sp.csr_matrix:
+    """An n x n CSR block of random diagonals, some entries explicitly
+    stored zeros: its main diagonal, where the terms' sums overlap, and up
+    to three more, the last of them all zeros."""
+    others = rng.choice(np.arange(1, 2 * n) - n, size=rng.integers(0, min(n, 4)),
+                        replace=False)
+    offsets = np.concatenate([[0], others[others != 0]])
+    diagonals = []
+    for r, d in enumerate(offsets.tolist()):
+        i = np.arange(max(0, -d), min(n, n - d))
+        values = rng.normal(size=len(i)) * 10.0 ** rng.uniform(-3.0, 3.0, len(i))
+        values[rng.random(len(i)) < 0.2] = 0.0
+        if r == len(offsets) - 1 and len(offsets) > 1:
+            values[:] = 0.0
+        diagonals.append((values, i, i + d))
+    data, rows, cols = map(np.concatenate, zip(*diagonals))
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_y=st.integers(min_value=1, max_value=7),
+       n_x=st.integers(min_value=1, max_value=7),
+       terms=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_kron_sum_matches_sparse_kron_bits(n_y, n_x, terms, seed):
+    # the diagonal-wise assembler against sum_p sp.kron(C_p, X_p), indptr,
+    # indices and data byte for byte
+    rng = np.random.default_rng(seed)
+    levels = [_random_level(rng, n_y) for _ in range(terms)]
+    blocks = tuple(_random_block(rng, n_x) for _ in range(terms))
+    ours, ref = _kron_sum(levels, blocks).tocsr(), kron_sum(levels, blocks)
+    for part in ("indptr", "indices", "data"):
+        ours_part, ref_part = getattr(ours, part), getattr(ref, part)
+        assert ours_part.dtype == ref_part.dtype, part
+        assert ours_part.tobytes() == ref_part.tobytes(), part
 
 
 # each package level builder and the coefficient-dict, COO and CSR
