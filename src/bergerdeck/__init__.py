@@ -6,8 +6,7 @@ from .model import (DampingField, ExpDegenerate, FeedbackKind, Linear,
                     ModelConfig, Piecewise, Power, SqrtOdd, damping_mask,
                     eval_feedback, feedback_from_name, feedback_name,
                     make_model, stretch_integral)
-from .operators import (OperatorSet, assemble_bilaplacian, assemble_d2_1d,
-                        assemble_d4_hinged_1d, assemble_dxx, assemble_dy2,
+from .operators import (OperatorSet, assemble_d2_1d, assemble_d4_hinged_1d,
                         build_operators)
 from .staticsolve import analytic_oracle, sin_load, solve_static
 from .energy import (EnergyRecord, PlateFormEvaluator, dissipation_residual,

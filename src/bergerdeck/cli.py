@@ -90,10 +90,10 @@ def preset(name: str) -> RunConfig:
 # config documents
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
-    """Check what the library does not (time window, stride, paths,
-    snapshot file names, finiteness), then run the library's checks on grid, weights, sigma,
-    model and collar; any failure becomes a ConfigError prefixed by
-    ``where``."""
+    """Check what the library does not (time window, stride, paths, no
+    two outputs naming one file, finiteness), then run the library's
+    checks on grid, weights, sigma, model and collar; any failure becomes a
+    ConfigError prefixed by ``where``."""
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
 
@@ -111,7 +111,8 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
     for t in (cfg.T, *cfg.snapshots):
         if not math.isfinite(t / cfg.dt):
             fail(f"time {t:g} over dt = {cfg.dt:g} is not a finite number of steps")
-    for key in ("csv", "svg") if cfg.svg is not None else ("csv",):
+    keys = ("csv", "svg") if cfg.svg is not None else ("csv",)
+    for key in keys:
         path = getattr(cfg, key)
         # a config document ends a value at '#' or a line break and strips
         # the blanks around it
@@ -119,14 +120,17 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
                 or path != path.strip():
             fail(f"{key} path {path!r} must be one nonempty line without '#' "
                  f"or blanks at either end")
-    # a snapshot's file name keeps 6 significant digits of its time
-    written: dict[str, float] = {}
-    for t_req in cfg.snapshots:
-        name = _snapshot_path(cfg.csv, t_req)
-        if name in written:
-            fail(f"snapshot times {written[name]!r} and {t_req!r} would both "
-                 f"write {name!r}")
-        written[name] = t_req
+    # no two outputs may name one file; a snapshot's file name keeps 6
+    # significant digits of its time
+    outputs = [(f"the {key} path", getattr(cfg, key)) for key in keys]
+    outputs += [(f"snapshot time {t!r}", _snapshot_path(cfg.csv, t))
+                for t in cfg.snapshots]
+    written: dict[str, str] = {}
+    for what, path in outputs:
+        target = os.path.abspath(path)
+        if target in written:
+            fail(f"{written[target]} and {what} would both write {path!r}")
+        written[target] = what
     try:
         grid = build_grid(cfg.J, cfg.K, cfg.l)
         build_weights(grid)
@@ -426,17 +430,22 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"cannot create sweep directory {args.out_dir!r}: "
                           f"{exc}") from exc
     report = os.path.join(args.out_dir, "decay_fits.csv")
-    _check_directory(report, "fit report")  # before the first march
+    stems = {name: os.path.join(args.out_dir, f"{name}_energy")
+             for name in ("fig6", "fig7", "fig8")}
+    # before the first march
+    _check_directory(report, "fit report")
+    for stem in stems.values():
+        _check_directory(f"{stem}.csv", "energy CSV")
+        _check_directory(f"{stem}.svg", "SVG")
     rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
     # presets that share a plate share its system and initial field
     plates: dict[tuple, tuple[FactorizedSystem, np.ndarray]] = {}
-    for name in ("fig6", "fig7", "fig8"):
+    for name, stem in stems.items():
         cfg = preset(name)
         key = (cfg.J, cfg.K, cfg.l, cfg.sigma, cfg.width, cfg.dt)
         if key not in plates:
             plates[key] = _plate(cfg)
         result = run_config(cfg, plates[key])
-        stem = os.path.join(args.out_dir, f"{name}_energy")
         write_energy_csv(result.records, f"{stem}.csv")
         ts = np.array([rec.t for rec in result.records])
         es = np.array([rec.total for rec in result.records])

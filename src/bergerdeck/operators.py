@@ -12,17 +12,15 @@ DIA storage (Saad 2003, sec. 3.4).  It reads each factor's diagonals in
 one pass over its stored entries (a CSR's ``indptr``, ``indices`` and
 ``data``, a dense level's nonzeros), already in DIA layout, so each pair
 of a level and an x diagonal is one outer product written, or added in
-place, into its DIA row.  A plate's x factors I, Lx, Lx^2 and D_x are
-built once (``XFactors``), and ``OperatorSet`` carries them for the
-energy evaluator's u_yy and u_xy maps.  The bilaplacian is one level
-polynomial (``_bilaplacian_levels``), evaluated once per plate
-(``assemble_plate``): its Kronecker sum is the sparse operator, and the
-DST-I in x evaluates it at each sine mode's Lx eigenvalue, one
-pentadiagonal block per mode, which the trapezoid y weights make
-symmetric; ``modal_band`` stacks the blocks' lower bands for one banded
-Cholesky factorization.  The u_xy map is a Kronecker sum of the same
-kind, and ``quarter_maps`` folds every difference map onto the even-even
-quarter.
+place, into its DIA row.  Each difference map's (levels, x factors) pair
+is written once, in one table per plate (``_maps``), from one Lx, one D_x
+and one I; ``OperatorSet`` carries it, and ``quarter_maps`` folds it onto
+the even-even quarter.  The bilaplacian is one level polynomial
+(``_bilaplacian_levels``), evaluated once per plate: its Kronecker sum is
+the sparse operator, and the DST-I in x evaluates it at each sine mode's
+Lx eigenvalue, one pentadiagonal block per mode, which the trapezoid y
+weights make symmetric; ``modal_band`` stacks the blocks' lower bands for
+one banded Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -82,46 +80,20 @@ def assemble_d2_1d(n: int, h: float) -> sp.csr_matrix:
     return _banded(n, {-1: base, 0: -2.0 * base, 1: base})
 
 
+def _hinged_d4(lx: sp.csr_matrix) -> sp.csr_matrix:
+    """Lx^2, the hinged fourth difference, as the sparse square of the
+    second difference ``lx``: at a hinged end both the value and the
+    curvature vanish, so the ghost value is the negated mirror of the
+    first interior one and the corner diagonal entry becomes 5/h^4."""
+    return _finalize(lx @ lx)
+
+
 def assemble_d4_hinged_1d(n: int, h: float) -> sp.csr_matrix:
-    """Fourth difference [1, -4, 6, -4, 1]/h^4 with hinged ends, formed as
-    the sparse square of ``assemble_d2_1d``: at a hinged end both the value
-    and the curvature vanish, so the ghost value is the negated mirror of
-    the first interior one and the corner diagonal entry becomes 5/h^4.
-    """
+    """Fourth difference [1, -4, 6, -4, 1]/h^4 with hinged ends, the
+    ``_hinged_d4`` of ``assemble_d2_1d``."""
     if n < 5:
         raise SizingError(f"fourth-difference matrix needs n >= 5, got {n}")
-    if h <= 0:
-        raise SizingError(f"spacing must be positive, got {h}")
-    d2 = assemble_d2_1d(n, h)
-    return _finalize(d2 @ d2)
-
-
-@dataclass(frozen=True)
-class XFactors:
-    """One plate's 1-D x factors, CSR, each built once (``x_factors``) and
-    read by every Kronecker sum of that plate: I, Lx (``assemble_d2_1d``),
-    Lx^2 = Lx @ Lx (``assemble_d4_hinged_1d``) and D_x (``_centered_dx``)."""
-
-    eye: sp.csr_matrix
-    lx: sp.csr_matrix
-    lx2: sp.csr_matrix
-    dx: sp.csr_matrix
-
-
-def x_factors(grid: Grid) -> XFactors:
-    """The x factors of ``grid``, Lx^2 squared from the one Lx."""
-    lx = assemble_d2_1d(grid.J, grid.dx)
-    return XFactors(eye=sp.identity(grid.J, format="csr"), lx=lx,
-                    lx2=_finalize(lx @ lx), dx=_centered_dx(grid))
-
-
-def assemble_dxx(grid: Grid) -> SparseOperator:
-    """x second derivative on the flattened field (one block per level)."""
-    return _dxx_map(grid, x_factors(grid))
-
-
-def _dxx_map(grid: Grid, x: XFactors) -> SparseOperator:
-    return _kron_sum([np.eye(grid.K + 2)], (x.lx,))
+    return _hinged_d4(assemble_d2_1d(n, h))
 
 
 def _diagonals(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -209,15 +181,6 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     return [_stencil(ny, (inv_dy2, -2.0 * inv_dy2, inv_dy2), 1), edges]
 
 
-def assemble_dy2(grid: Grid, sigma: float) -> SparseOperator:
-    """y second derivative on the flattened field: kron(T, I) + kron(E, Lx)."""
-    return _dy2_map(grid, sigma, x_factors(grid))
-
-
-def _dy2_map(grid: Grid, sigma: float, x: XFactors) -> SparseOperator:
-    return _kron_sum(_dy2_levels(grid, sigma), (x.eye, x.lx))
-
-
 def _edge_rows(sigma: float, dy2: float) -> dict:
     """Ghost-eliminated rows k = 0 and 1 of the y fourth difference, before
     the 1/dy^4 scaling: {(row, level): (I, Lx, Lx^2) coefficients}.  The
@@ -268,27 +231,6 @@ def _bilaplacian_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     return [c0, c1 + 2.0 * t, np.eye(grid.K + 2) + c2 + 2.0 * e]
 
 
-def assemble_plate(grid: Grid, sigma: float) -> tuple[SparseOperator, np.ndarray]:
-    """The bilaplacian and its ``modal_band`` from one evaluation of the
-    level polynomial ``_bilaplacian_levels``: B = sum_p kron(P_p, Lx^p),
-    with Lx^2 the hinged fourth difference, formed as Lx @ Lx."""
-    return _plate_maps(grid, sigma, x_factors(grid))
-
-
-def _plate_maps(grid: Grid, sigma: float,
-                x: XFactors) -> tuple[SparseOperator, np.ndarray]:
-    levels = _bilaplacian_levels(grid, sigma)
-    return _kron_sum(levels, (x.eye, x.lx, x.lx2)), modal_band(grid, levels)
-
-
-def assemble_bilaplacian(grid: Grid, sigma: float) -> SparseOperator:
-    """Discrete bilaplacian D_x^4 + D_y^4 + 2 D_x^2 D_y^2 on the flat field,
-    block pentadiagonal with block size J, as ``assemble_plate`` builds it.
-    The cross term uses the boundary-modified y second derivative, so the
-    free-edge identities enter every term consistently."""
-    return assemble_plate(grid, sigma)[0]
-
-
 def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
     """The bilaplacian of the level matrices ``levels`` of
     ``_bilaplacian_levels`` in x sine modes, scaled by W_y
@@ -333,15 +275,6 @@ def _dy_levels(grid: Grid) -> list[np.ndarray]:
     return [d_y]
 
 
-def cross_derivative_map(grid: Grid) -> SparseOperator:
-    """u_xy map kron(D_y, D_x), each entry a single product."""
-    return _cross_map(grid, x_factors(grid))
-
-
-def _cross_map(grid: Grid, x: XFactors) -> SparseOperator:
-    return _kron_sum(_dy_levels(grid), (x.dx,))
-
-
 def _fold(values: np.ndarray) -> np.ndarray:
     """``values`` times the 1-D fold f of its last axis, n points onto the
     first h = n - n//2, f[i, min(i, n-1-i)] = 1: entry i >= h is added
@@ -352,22 +285,32 @@ def _fold(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def quarter_maps(grid: Grid, sigma: float) -> tuple[SparseOperator, ...]:
-    """The u_xx, u_yy, u_xy, u_x and u_y maps on the fields even under both
-    flips j -> J+1-j and k -> K+1-k, given by their values on the quarter
-    j <= (J+1)/2, k <= (K+1)/2 ordered level-fastest (k fastest), which
-    keeps their Gram matrices a band (Cuthill & McKee 1969).  The quarter's
-    rows of map sum_p kron(C_p, X_p) on those fields are
-    sum_p kron((X_p f_x)[:h_x], (C_p f_y)[:h_y]), f the 1-D ``_fold``s."""
-    def quarter(levels: list, blocks: tuple) -> SparseOperator:
-        return _kron_sum([_fold(x[:len(x) - len(x) // 2]) for x in blocks],
-                         tuple(_fold(c[:len(c) - len(c) // 2]) for c in levels))
+def _maps(grid: Grid, sigma: float) -> dict[str, tuple[list, tuple]]:
+    """The u_xx, u_yy, u_xy, u_x and u_y maps of ``grid`` at ``sigma``, in
+    that order, each as its (level matrices, x factors) pair, the map being
+    sum_p kron(C_p, X_p), all from one Lx, one D_x and one I (CSR):
+    ``_kron_sum(*pair)`` assembles a map on the flat field, and
+    ``quarter_maps`` folds it onto the even-even quarter."""
+    eye_y, d_y = [np.eye(grid.K + 2)], _dy_levels(grid)
+    eye_x, d_x = sp.identity(grid.J, format="csr"), _centered_dx(grid)
+    lx = assemble_d2_1d(grid.J, grid.dx)
+    return {"xx": (eye_y, (lx,)), "yy": (_dy2_levels(grid, sigma), (eye_x, lx)),
+            "xy": (d_y, (d_x,)), "x": (eye_y, (d_x,)), "y": (d_y, (eye_x,))}
 
-    lx = assemble_d2_1d(grid.J, grid.dx).toarray()
-    d_x, d_y = _centered_dx(grid).toarray(), _dy_levels(grid)
-    eye_x, eye_y = np.eye(grid.J), [np.eye(grid.K + 2)]
-    return (quarter(eye_y, (lx,)), quarter(_dy2_levels(grid, sigma), (eye_x, lx)),
-            quarter(d_y, (d_x,)), quarter(eye_y, (d_x,)), quarter(d_y, (eye_x,)))
+
+def quarter_maps(grid: Grid, sigma: float) -> tuple[SparseOperator, ...]:
+    """The ``_maps`` on the fields even under both flips j -> J+1-j and
+    k -> K+1-k, given by their values on the quarter j <= (J+1)/2,
+    k <= (K+1)/2 ordered level-fastest (k fastest), which keeps their Gram
+    matrices a band (Cuthill & McKee 1969).  The quarter's rows of map
+    sum_p kron(C_p, X_p) on those fields are
+    sum_p kron((X_p f_x)[:h_x], (C_p f_y)[:h_y]), f the 1-D ``_fold``s."""
+    def half(matrix: np.ndarray) -> np.ndarray:
+        return _fold(matrix[:len(matrix) - len(matrix) // 2])
+
+    return tuple(_kron_sum([half(x.toarray()) for x in blocks],
+                           tuple(half(c) for c in levels))
+                 for levels, blocks in _maps(grid, sigma).values())
 
 
 @dataclass(frozen=True)
@@ -376,9 +319,9 @@ class OperatorSet:
     assembled from them, read by the stepper, the static solve and the
     energy evaluator.  ``band``, read-only, is the bilaplacian's
     ``modal_band``, which the static solve and every
-    ``integrator.FactorizedSystem`` factor from; ``x_factors`` are the 1-D
-    x factors the operators were assembled from, from which the energy
-    evaluator assembles its u_yy and u_xy maps."""
+    ``integrator.FactorizedSystem`` factor from; ``maps`` is the plate's
+    ``_maps`` table, which ``dxx`` was assembled from and ``assemble``
+    assembles the other maps from when a reader needs them."""
 
     grid: Grid
     sigma: float
@@ -386,17 +329,25 @@ class OperatorSet:
     bilaplacian: SparseOperator
     band: np.ndarray
     dxx: SparseOperator
-    x_factors: XFactors
+    maps: dict[str, tuple[list, tuple]]
     damping: DampingField
+
+    def assemble(self, name: str) -> SparseOperator:
+        """The map ``name`` ("xx", "yy", "xy", "x" or "y") on the flat field."""
+        return _kron_sum(*self.maps[name])
 
 
 def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet:
     """Assemble the operators of ``grid`` at ``sigma`` and lay out the
-    collar of ``damping_width`` cells (0: no collar) on it."""
-    x = x_factors(grid)
-    bilaplacian, band = _plate_maps(grid, sigma, x)
+    collar of ``damping_width`` cells (0: no collar) on it: B, on the I and
+    Lx of the ``_maps`` table and their ``_hinged_d4``, its ``modal_band``
+    and u_xx; ``OperatorSet.assemble`` gives the other maps."""
+    maps = _maps(grid, sigma)
+    levels = _bilaplacian_levels(grid, sigma)
+    eye, lx = maps["yy"][1]
+    band = modal_band(grid, levels)
     band.setflags(write=False)
     return OperatorSet(grid=grid, sigma=sigma, weights=build_weights(grid),
-                       bilaplacian=bilaplacian, band=band,
-                       dxx=_dxx_map(grid, x), x_factors=x,
+                       bilaplacian=_kron_sum(levels, (eye, lx, _hinged_d4(lx))),
+                       band=band, dxx=_kron_sum(*maps["xx"]), maps=maps,
                        damping=damping_mask(grid, damping_width))

@@ -27,10 +27,9 @@ from bergerdeck.errors import (BergerdeckError, ConfigError, ParameterError,
                                ShapeError, SizingError)
 from bergerdeck.grid import Grid, QuadratureWeights
 from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
-                                  _centered_dx, _dy2_levels, _dy4_levels,
-                                  _dy_levels, _edge_rows, _finalize, _kron_sum,
-                                  assemble_d2_1d, assemble_dxx, assemble_dy2,
-                                  check_sigma, cross_derivative_map)
+                                  _dy2_levels, _dy4_levels, _edge_rows,
+                                  _finalize, _kron_sum, assemble_d2_1d,
+                                  check_sigma)
 
 
 def dense_lx(J: int, dx: float) -> np.ndarray:
@@ -229,14 +228,11 @@ def berger_coefficient(U: np.ndarray, weights, P: float, S: float) -> float:
     return -P + S * stretch_integral(U, weights)
 
 
-def x_derivative_map(grid: Grid) -> SparseOperator:
-    """Centered first x-difference on the unknowns, kron(I, D_x)."""
-    return _kron_sum([np.eye(grid.K + 2)], (_centered_dx(grid),))
-
-
-def y_derivative_map(grid: Grid) -> SparseOperator:
-    """First y-difference kron(D_y, I)."""
-    return _kron_sum(_dy_levels(grid), (sp.identity(grid.J),))
+def gradient_maps(grid: Grid) -> tuple[SparseOperator, SparseOperator]:
+    """The package's u_x and u_y maps, kron(I, D_x) and kron(D_y, I)
+    (``OperatorSet.assemble``); neither depends on sigma."""
+    ops = build_operators(grid, 0.2, 0)
+    return ops.assemble("x"), ops.assemble("y")
 
 
 def parity_fold(grid: Grid) -> sp.csr_matrix:
@@ -258,9 +254,8 @@ def hstar_gram(grid: Grid, sigma: float,
                weights: QuadratureWeights) -> sp.csr_matrix:
     """Gram matrix of the plate form: U^T A U = quadrature of F(u,u)."""
     W = sp.diags(weights.cell)
-    sxx = assemble_dxx(grid)
-    syy = assemble_dy2(grid, sigma)
-    sxy = cross_derivative_map(grid)
+    ops = build_operators(grid, sigma, 0)
+    sxx, syy, sxy = ops.dxx, ops.assemble("yy"), ops.assemble("xy")
     A = sxx.T @ W @ sxx + syy.T @ W @ syy \
         + sigma * (sxx.T @ W @ syy + syy.T @ W @ sxx) \
         + 2.0 * (1.0 - sigma) * (sxy.T @ W @ sxy)
@@ -270,16 +265,15 @@ def hstar_gram(grid: Grid, sigma: float,
 def gradient_gram(grid: Grid, weights: QuadratureWeights) -> sp.csr_matrix:
     """Gram matrix of the Dirichlet gradient: U^T B U = quadrature of |grad u|^2."""
     W = sp.diags(weights.cell)
-    sx = x_derivative_map(grid)
-    sy = y_derivative_map(grid)
+    sx, sy = gradient_maps(grid)
     return _finalize(sx.T @ W @ sx + sy.T @ W @ sy)
 
 
 def gradient_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
     """Quadrature of |grad u|^2 on the full grid, the form of
     ``gradient_gram``."""
-    ux = x_derivative_map(weights.grid) @ U
-    uy = y_derivative_map(weights.grid) @ U
+    sx, sy = gradient_maps(weights.grid)
+    ux, uy = sx @ U, sy @ U
     return weights.integrate_cells(ux * ux + uy * uy)
 
 

@@ -499,6 +499,35 @@ def test_main_run_snapshot_path_that_is_a_directory_exits_1_before_the_march(
     assert not (tmp_path / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("extra, options", [
+    ({}, ["--svg", "{tmp}/./energy.csv"]),
+    ({"snapshots": "0.5", "svg": "{tmp}/energy_snapshot_t0.5.csv"}, [])],
+    ids=["csv-svg", "svg-snapshot"])
+def test_main_run_outputs_naming_one_file_exit_1_before_the_plate(
+        tmp_path, monkeypatch, capsys, extra, options):
+    import bergerdeck.cli as cli_mod
+    _refuse_the_work(monkeypatch)
+    monkeypatch.setattr(cli_mod, "build_operators",
+                        lambda *args: pytest.fail("the plate was built"))
+    extra = {key: value.format(tmp=tmp_path) for key, value in extra.items()}
+    options = [option.format(tmp=tmp_path) for option in options]
+    assert main(["run", "--config", _small_config_text(tmp_path, **extra),
+                 *options]) == 1
+    assert "would both write" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_main_sweep_output_that_is_a_directory_exits_1_before_the_marches(
+        tmp_path, monkeypatch, capsys):
+    # the last preset's chart, written after all three marches
+    _refuse_the_work(monkeypatch)
+    out_dir = tmp_path / "sweep"
+    (out_dir / "fig8_energy.svg").mkdir(parents=True)
+    assert main(["sweep", "--out-dir", str(out_dir)]) == 1
+    assert "error: cannot write SVG" in capsys.readouterr().err
+    assert [path.name for path in out_dir.iterdir()] == ["fig8_energy.svg"]
+
+
 def test_main_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -727,31 +756,27 @@ def test_sweep_builds_each_plate_once_with_solo_bytes(tmp_path, monkeypatch,
 
 
 def test_plate_evaluates_the_level_polynomial_and_band_once(monkeypatch):
-    # and a run builds each 1-D x factor once: the plate (all that the
-    # static command assembles) builds them, and the run's u_yy and u_xy
-    # maps reuse them
+    # and a run builds the plate's map table once: the plate (all that the
+    # static command assembles) builds it and assembles B and u_xx, and
+    # the run's u_yy and u_xy maps are assembled from the same table
     import bergerdeck.cli as cli_mod
-    import bergerdeck.energy as energy
     import bergerdeck.operators as operators
 
-    calls = dict.fromkeys(["_bilaplacian_levels", "modal_band", "x_factors",
-                           "assemble_d2_1d", "assemble_d4_hinged_1d",
-                           "_centered_dx", "_dy2_map", "_cross_map"], 0)
+    calls = dict.fromkeys(["_maps", "_bilaplacian_levels", "modal_band",
+                           "assemble_d2_1d", "_kron_sum"], 0)
     for name in calls:
         def counted(*args, _inner=getattr(operators, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(operators, name, counted)
-        if hasattr(energy, name):
-            monkeypatch.setattr(energy, name, counted)
     cfg = replace(preset("fig7"), J=21, K=11, T=0.05)
     system, u0 = cli_mod._plate(cfg)
-    once = {"_bilaplacian_levels": 1, "modal_band": 1, "x_factors": 1,
-            "assemble_d2_1d": 1, "assemble_d4_hinged_1d": 0, "_centered_dx": 1}
-    assert calls == {**once, "_dy2_map": 0, "_cross_map": 0}
+    once = {"_maps": 1, "_bilaplacian_levels": 1, "modal_band": 1,
+            "assemble_d2_1d": 1}
+    assert calls == {**once, "_kron_sum": 2}
     assert u0.shape == (system.ops.grid.n_dof,)
     cli_mod.run_config(cfg, (system, u0))
-    assert calls == {**once, "_dy2_map": 1, "_cross_map": 1}
+    assert calls == {**once, "_kron_sum": 4}
 
 
 def test_static_solve_and_system_leave_the_shared_band_alone():

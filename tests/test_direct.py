@@ -13,7 +13,7 @@ from bergerdeck._direct import (BandCholesky, ModalSolver, _scipy_openblas,
                                 lower_band, one_blas_thread, refine_solve)
 from bergerdeck.errors import SolveError
 from bergerdeck.integrator import FactorizedSystem
-from bergerdeck.operators import assemble_plate, level_weights
+from bergerdeck.operators import level_weights
 from oracles import band_matrix, dense_bilaplacian
 
 RTOL = 1e-10
@@ -145,7 +145,7 @@ def _plate(J, K, sigma, seed):
 
 def _shifted(grid, sigma, dt):
     """The band of W_y (I + dt^2/2 B)."""
-    band = (dt * dt / 2.0) * assemble_plate(grid, sigma)[1]
+    band = (dt * dt / 2.0) * build_operators(grid, sigma, 0).band
     band[0] += np.tile(level_weights(grid), grid.J)
     return band
 
@@ -176,7 +176,7 @@ def test_modal_solve_meets_contract(J, K, sigma, dt, seed):
     solver = ModalSolver(_shifted(grid, sigma, dt), grid)
     _, residual = refine_solve(solver, M, rhs, RTOL)
     assert residual <= RTOL
-    solver = ModalSolver(assemble_plate(grid, sigma)[1], grid)
+    solver = ModalSolver(ops.band, grid)
     _, residual = refine_solve(solver, B, rhs, RTOL, backward_scale=True)
     assert residual <= RTOL
 
@@ -200,7 +200,7 @@ def test_parity_solver_matches_splu_and_dense(odd_levels, stepper, J, half_k,
         dense_matrix = np.eye(grid.n_dof) + (dt * dt / 2.0) * dense
         band = _shifted(grid, sigma, dt)
     else:
-        matrix, dense_matrix, band = ops.bilaplacian, dense, assemble_plate(grid, sigma)[1]
+        matrix, dense_matrix, band = ops.bilaplacian, dense, ops.band
     assert band.shape == (3, J * (K + 2)) and (K + 2) % 2 == odd_levels
     x = ModalSolver(band, grid).solve(rhs)
     assert _gap(x, spla.splu(sp.csc_matrix(matrix)).solve(rhs)) <= 1e-10
@@ -218,14 +218,14 @@ def test_parity_solver_matches_splu_and_dense(odd_levels, stepper, J, half_k,
 def test_band_factors_near_the_sigma_ends(J, K, sigma, dt):
     # W_y B and W_y (I + dt^2/2 B) are positive definite in every mode
     grid = build_grid(J, K, math.pi / 4)
-    for band in (assemble_plate(grid, sigma)[1], _shifted(grid, sigma, dt)):
+    for band in (build_operators(grid, sigma, 0).band, _shifted(grid, sigma, dt)):
         _, info = dpbtrf(band, lower=1)
         assert info == 0
 
 
 def test_band_not_positive_definite_raises():
     grid = build_grid(5, 3, math.pi / 4)
-    band = assemble_plate(grid, 0.2)[1]
+    band = build_operators(grid, 0.2, 0).band.copy()
     band[0, 7] = -1.0  # the diagonal at level 2 of mode 2
     with pytest.raises(SolveError, match="x mode 2 is not positive definite"):
         ModalSolver(band, grid)
@@ -235,7 +235,7 @@ def test_band_is_factored_in_place_only_on_request():
     # every system of a plate shares its OperatorSet.band: ModalSolver
     # factors a copy of it, and BandCholesky factors what it is given
     grid = build_grid(7, 5, math.pi / 4)
-    band = assemble_plate(grid, 0.2)[1]
+    band = build_operators(grid, 0.2, 0).band.copy()  # writable, as a caller's
     kept = band.copy()
     ModalSolver(band, grid)
     assert np.array_equal(band, kept)
@@ -250,7 +250,7 @@ def test_modal_solver_leaves_a_read_only_fortran_band_alone():
     # lets it write through; any other layout it copies first, so only this
     # band shows whether ModalSolver factors a copy
     grid = build_grid(7, 5, math.pi / 4)
-    band = np.asfortranarray(assemble_plate(grid, 0.2)[1])
+    band = np.asfortranarray(build_operators(grid, 0.2, 0).band)
     band.setflags(write=False)
     kept = band.copy()
     ModalSolver(band, grid)

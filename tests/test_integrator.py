@@ -16,7 +16,7 @@ from bergerdeck import (ExpDegenerate, FactorizedSystem, Linear, OperatorSet,
 from bergerdeck.cli import dump_snapshot, preset, run_config
 from bergerdeck.errors import NonFiniteError, ParameterError, ShapeError
 from bergerdeck.model import eval_feedback
-from bergerdeck.operators import x_factors
+from bergerdeck.operators import _maps
 from bergerdeck.integrator import SimState, _damping_force
 from oracles import dense_bootstrap, dense_step, dump_snapshot_per_node
 
@@ -130,7 +130,7 @@ def test_step_free_recurrence(tiny_grid):
     ops = OperatorSet(grid=tiny_grid, sigma=SIGMA,
                       weights=build_weights(tiny_grid), bilaplacian=zero,
                       band=np.zeros((3, n)), dxx=zero,
-                      x_factors=x_factors(tiny_grid),
+                      maps=_maps(tiny_grid, SIGMA),
                       damping=damping_mask(tiny_grid, 0))
     sys = _IdentitySystem(ops, dt=0.5)
     rng = np.random.default_rng(0)

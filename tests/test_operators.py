@@ -8,23 +8,23 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergerdeck import build_grid
+from bergerdeck import build_grid, build_operators
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
                                   _dy4_levels, _dy_levels, _kron_sum,
-                                  assemble_bilaplacian,
-                                  assemble_d2_1d,
-                                  assemble_d4_hinged_1d, assemble_dxx,
-                                  assemble_dy2, assemble_plate,
-                                  cross_derivative_map, level_weights,
-                                  quarter_maps)
+                                  assemble_d2_1d, assemble_d4_hinged_1d,
+                                  level_weights, quarter_maps)
 from oracles import (assemble_dy4, band_matrix, dense_bilaplacian, dense_dy2,
                      dense_dy4, free_edge_shorthand_coefficients,
                      free_edge_stencil_report,
                      kron_operators, kron_quarter_maps, kron_sum, observed_orders,
                      sparse_bilaplacian_levels, sparse_dy2_levels,
-                     sparse_dy4_levels, sparse_dy_levels, x_derivative_map,
-                     y_derivative_map)
+                     sparse_dy4_levels, sparse_dy_levels)
+
+
+def _ops(grid, sigma=0.2):
+    """The package's operators of ``grid`` at ``sigma``, no collar."""
+    return build_operators(grid, sigma, 0)
 
 
 # --- 1-d second difference ------------------------------------------------
@@ -89,7 +89,7 @@ def test_d4_sizing_error():
 
 def test_dy2_interior_block_pattern(tiny_grid):
     grid = tiny_grid
-    mat = assemble_dy2(grid, 0.2).toarray()
+    mat = _ops(grid, 0.2).assemble("yy").toarray()
     J = grid.J
     inv = 1.0 / grid.dy ** 2
     block = mat[J:2 * J, :]  # level k = 1
@@ -101,7 +101,7 @@ def test_dy2_interior_block_pattern(tiny_grid):
 
 def test_dy2_constant_in_y_interior_rows(tiny_grid):
     grid = tiny_grid
-    mat = assemble_dy2(grid, 0.2)
+    mat = _ops(grid, 0.2).assemble("yy")
     field = np.tile(np.sin(grid.x_interior()), grid.K + 2)
     out = (mat @ field).reshape(grid.shape)
     np.testing.assert_allclose(out[1:-1], 0.0, atol=1e-14)
@@ -110,7 +110,7 @@ def test_dy2_constant_in_y_interior_rows(tiny_grid):
 def test_dy2_boundary_row_is_bc_identity():
     grid = build_grid(9, 3, 1.0)
     sigma = 0.2
-    mat = assemble_dy2(grid, sigma)
+    mat = _ops(grid, sigma).assemble("yy")
     field = np.zeros(grid.n_dof)
     samples = np.sin(grid.x_interior())
     field[:grid.J] = samples  # level k = 0 only
@@ -120,7 +120,7 @@ def test_dy2_boundary_row_is_bc_identity():
 
 
 def test_dy2_matches_dense_oracle(tiny_grid):
-    ours = assemble_dy2(tiny_grid, 0.3).toarray()
+    ours = _ops(tiny_grid, 0.3).assemble("yy").toarray()
     ref = dense_dy2(tiny_grid.J, tiny_grid.K, tiny_grid.l, 0.3)
     np.testing.assert_allclose(ours, ref, atol=1e-12)
 
@@ -128,7 +128,7 @@ def test_dy2_matches_dense_oracle(tiny_grid):
 def test_dy2_sigma_bounds(tiny_grid):
     for sigma in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ParameterError, match="Poisson"):
-            assemble_dy2(tiny_grid, sigma)
+            _ops(tiny_grid, sigma).assemble("yy")
 
 
 # --- y fourth derivative ------------------------------------------------------
@@ -197,18 +197,18 @@ def test_stencil_report_rebuilds_dy4_edge_rows(tiny_grid):
 # --- bilaplacian ---------------------------------------------------------------
 
 def test_bilaplacian_size(preset_grid):
-    mat = assemble_bilaplacian(preset_grid, 0.2)
+    mat = _ops(preset_grid, 0.2).bilaplacian
     assert mat.shape == (15049, 15049)
 
 
 def test_bilaplacian_zero_vector(tiny_grid):
-    mat = assemble_bilaplacian(tiny_grid, 0.2)
+    mat = _ops(tiny_grid, 0.2).bilaplacian
     np.testing.assert_array_equal(mat @ np.zeros(tiny_grid.n_dof),
                                   np.zeros(tiny_grid.n_dof))
 
 
 def test_bilaplacian_matches_dense_oracle(tiny_grid):
-    ours = assemble_bilaplacian(tiny_grid, 0.2).toarray()
+    ours = _ops(tiny_grid, 0.2).bilaplacian.toarray()
     ref = dense_bilaplacian(tiny_grid.J, tiny_grid.K, tiny_grid.l, 0.2)
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(ours, ref, atol=1e-12 * scale)
@@ -216,7 +216,7 @@ def test_bilaplacian_matches_dense_oracle(tiny_grid):
 
 def _interior_probe_error(J, K, l, sigma, m=2):
     grid = build_grid(J, K, l)
-    mat = assemble_bilaplacian(grid, sigma)
+    mat = _ops(grid, sigma).bilaplacian
     X, _ = grid.meshgrid()
     field = np.sin(m * X).ravel()
     out = (mat @ field).reshape(grid.shape)
@@ -237,7 +237,7 @@ def test_bilaplacian_mixed_probe_convergence_order():
     errs = []
     for J, K in [(37, 24), (75, 49), (151, 99)]:
         grid = build_grid(J, K, l)
-        mat = assemble_bilaplacian(grid, sigma)
+        mat = _ops(grid, sigma).bilaplacian
         X, Y = grid.meshgrid()
         qy = math.pi / (2 * l)
         field = (np.sin(2 * X) * np.cos(qy * (Y + l))).ravel()
@@ -251,7 +251,7 @@ def test_bilaplacian_mixed_probe_convergence_order():
 
 
 def test_bilaplacian_row_sparsity_and_bandwidth(tiny_grid):
-    mat = assemble_bilaplacian(tiny_grid, 0.2).tocsr()
+    mat = _ops(tiny_grid, 0.2).bilaplacian.tocsr()
     J = tiny_grid.J
     nnz_per_row = np.diff(mat.indptr)
     assert nnz_per_row.max() <= 13
@@ -260,21 +260,17 @@ def test_bilaplacian_row_sparsity_and_bandwidth(tiny_grid):
 
 
 def test_cross_term_commutes(tiny_grid):
-    dxx = assemble_dxx(tiny_grid)
-    dy2 = assemble_dy2(tiny_grid, 0.2)
+    ops = _ops(tiny_grid, 0.2)
+    dxx, dy2 = ops.dxx, ops.assemble("yy")
     left = (dxx @ dy2).toarray()
     right = (dy2 @ dxx).toarray()
     np.testing.assert_array_equal(left, right)
 
 
 def test_csr_invariants(tiny_grid):
-    for op in (assemble_bilaplacian(tiny_grid, 0.2),
-               assemble_dy4(tiny_grid, 0.2),
-               assemble_dy2(tiny_grid, 0.2),
-               assemble_dxx(tiny_grid),
-               x_derivative_map(tiny_grid),
-               y_derivative_map(tiny_grid),
-               cross_derivative_map(tiny_grid)):
+    ops = _ops(tiny_grid)
+    for op in (ops.bilaplacian, assemble_dy4(tiny_grid, 0.2), ops.dxx,
+               *(ops.assemble(name) for name in ops.maps)):
         mat = op.tocsr()
         assert np.all(mat.data != 0.0)
         for row in range(mat.shape[0]):
@@ -282,14 +278,14 @@ def test_csr_invariants(tiny_grid):
             assert np.all(np.diff(cols) > 0)
 
 
-# the package's assembly of each operator of ``oracles.kron_operators``
+# where the package's operators give each operator of ``oracles.kron_operators``
 ASSEMBLED = {
-    "bilaplacian": assemble_bilaplacian,
-    "dy2": assemble_dy2,
-    "dxx": lambda grid, sigma: assemble_dxx(grid),
-    "x_map": lambda grid, sigma: x_derivative_map(grid),
-    "y_map": lambda grid, sigma: y_derivative_map(grid),
-    "cross_map": lambda grid, sigma: cross_derivative_map(grid),
+    "bilaplacian": lambda ops: ops.bilaplacian,
+    "dy2": lambda ops: ops.assemble("yy"),
+    "dxx": lambda ops: ops.dxx,
+    "x_map": lambda ops: ops.assemble("x"),
+    "y_map": lambda ops: ops.assemble("y"),
+    "cross_map": lambda ops: ops.assemble("xy"),
 }
 
 
@@ -301,8 +297,9 @@ ASSEMBLED = {
 def test_operators_match_kron_oracle_bytes(J, K, l, sigma):
     # indptr, indices and data, dtype and bytes, against sp.kron per term
     grid = build_grid(J, K, l)
+    ops = _ops(grid, sigma)
     for name, oracle in kron_operators(grid, sigma).items():
-        mat = ASSEMBLED[name](grid, sigma).tocsr()
+        mat = ASSEMBLED[name](ops).tocsr()
         for part in ("indptr", "indices", "data"):
             ours, ref = getattr(mat, part), getattr(oracle, part)
             assert ours.dtype == ref.dtype, (name, part)
@@ -323,7 +320,8 @@ def test_operators_are_ascending_dia_with_kron_oracle_bits(J, K, l, sigma, seed)
     # in CSR column order, so the products keep the oracle's bits on x of
     # magnitudes from 1e-300 to 1e300
     grid = build_grid(J, K, l)
-    ours = {name: build(grid, sigma) for name, build in ASSEMBLED.items()}
+    ops = _ops(grid, sigma)
+    ours = {name: build(ops) for name, build in ASSEMBLED.items()}
     ours.update(zip(QUARTER_NAMES, quarter_maps(grid, sigma)))
     oracles = {**kron_operators(grid, sigma), **kron_quarter_maps(grid, sigma)}
     rng = np.random.default_rng(seed)
@@ -432,10 +430,11 @@ def test_modal_band_reproduces_bilaplacian(J, K, sigma):
     # DST block of B, entry by entry in both triangles
     grid = build_grid(J, K, math.pi / 4)
     n = K + 2
-    band = assemble_plate(grid, sigma)[1]
+    ops = _ops(grid, sigma)
+    band = ops.band
     assert band.shape == (3, J * n)
     sine = _dst(np.eye(J))  # orthonormal DST-I, symmetric
-    dense = assemble_bilaplacian(grid, sigma).toarray().reshape(n, J, n, J)
+    dense = ops.bilaplacian.toarray().reshape(n, J, n, J)
     modal = np.einsum("mj,kjli,ip->kmlp", sine, dense, sine, optimize=True)
     scale = np.abs(modal).max()
     weights = level_weights(grid)
@@ -469,15 +468,16 @@ def test_bilaplacian_levels_commute_with_level_flip(J, K, sigma):
        sigma=st.floats(min_value=1e-3, max_value=0.499))
 def test_bilaplacian_matches_term_composition(J, K, sigma):
     # the level polynomial against D_x^4 + D_y^4 + 2 D_x^2 D_y^2 composed
-    # from the public one-term operators
+    # from the one-term operators
     grid = build_grid(J, K, math.pi / 4)
+    ops = _ops(grid, sigma)
     dx4 = sp.kron(sp.identity(K + 2), assemble_d4_hinged_1d(J, grid.dx))
     composed = (dx4 + assemble_dy4(grid, sigma)
-                + 2.0 * (assemble_dxx(grid) @ assemble_dy2(grid, sigma))).tocsr()
+                + 2.0 * (ops.dxx @ ops.assemble("yy"))).tocsr()
     composed.sum_duplicates()
     composed.sort_indices()
     composed.eliminate_zeros()
-    mat = assemble_bilaplacian(grid, sigma).tocsr()
+    mat = ops.bilaplacian.tocsr()
     np.testing.assert_array_equal(mat.indptr, composed.indptr)
     np.testing.assert_array_equal(mat.indices, composed.indices)
     scale = np.abs(composed.data).max()
@@ -490,7 +490,7 @@ def _mode_diagonals(grid):
     """Diagonals d = 0, 1, 2 of every mode block of W_y B, in that order of
     d and then of the modes: the modal band's values, whatever its layout."""
     n = grid.K + 2
-    matrix = band_matrix(assemble_plate(grid, 0.3)[1])
+    matrix = band_matrix(_ops(grid, 0.3).band)
     blocks = [matrix[m * n:(m + 1) * n, m * n:(m + 1) * n].toarray()
               for m in range(grid.J)]
     return np.concatenate([np.diagonal(block, d) for d in range(3)
@@ -501,19 +501,19 @@ def _mode_diagonals(grid):
 # build_grid(21, 11, 0.7); the byte-identical energy CSVs rest on these
 # exact operator bits
 PINNED_BITS = {
-    "dy2": (lambda g: assemble_dy2(g, 0.3),
+    "dy2": (lambda g: _ops(g, 0.3).assemble("yy"),
             "62b64c5a1eaae571d8c149269afd0f50bca4c8a268213c2f6acbf74fc222981d"),
     "dy4": (lambda g: assemble_dy4(g, 0.3),
             "5ae9f8aef6bc367d076c9828827b8a55d84c16dea945ad6397a203296e614df9"),
-    "bilaplacian": (lambda g: assemble_bilaplacian(g, 0.3),
+    "bilaplacian": (lambda g: _ops(g, 0.3).bilaplacian,
                     "1bf381ab09432429ab85776f7047eb4f8185ac766858843c10c508da74638736"),
-    "y_map": (y_derivative_map,
+    "y_map": (lambda g: _ops(g).assemble("y"),
               "6c27ba9a5f70b43781842ef572d3b0ed8d6834fb3d57ba3594af472b2e4d964e"),
-    "cross_map": (cross_derivative_map,
+    "cross_map": (lambda g: _ops(g).assemble("xy"),
                   "9bb66d4cfc5ecbd2b5c8f6ad2f38dc4e91867af44e2eebd52e49772160c348e0"),
-    "dxx": (assemble_dxx,
+    "dxx": (lambda g: _ops(g).dxx,
             "4d6021af271fe2562302650151b5e3b49073afb8a92755179f3db4edacadb8b0"),
-    "x_map": (x_derivative_map,
+    "x_map": (lambda g: _ops(g).assemble("x"),
               "22cb7428245e84dfeed7c5cf8f131dae3ab2c8fb1555a220cbd4b4e442655c17"),
     "modal_band": (_mode_diagonals,
                    "a39543f52b41aeb5a114ec9b33508aae2863026984352acbb400b368b5bc0f10"),

@@ -1,10 +1,14 @@
-"""The README's library example runs as written, on a short horizon, and
-its command lines parse with the command-line parser."""
+"""The README's library example runs as written, on a short horizon, its
+command lines parse with the command-line parser, and the package names it
+cites exist."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import bergerdeck
 from bergerdeck.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +38,23 @@ def test_command_lines_parse():
     for argv in lines:
         args = _build_parser().parse_args(argv[1:])  # parses, runs nothing
         assert args.command == argv[1]
+
+
+def test_cited_package_names_exist():
+    # a backticked dotted name whose first part (after an optional
+    # ``bergerdeck.``) is a module of the package, such as
+    # `operators.modal_band` or `bergerdeck.energy.lambda1_estimate`
+    modules = {info.name for info in pkgutil.iter_modules(bergerdeck.__path__)}
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    cited = []
+    for span in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", prose):
+        parts = span.split(".")
+        if parts[0] == "bergerdeck":
+            parts = parts[1:]
+        if parts and parts[0] in modules:
+            cited.append(span)
+            target = importlib.import_module(f"bergerdeck.{parts[0]}")
+            for attribute in parts[1:]:
+                assert hasattr(target, attribute), f"README cites missing {span}"
+                target = getattr(target, attribute)
+    assert cited, "README cites no package name"
