@@ -90,9 +90,9 @@ def preset(name: str) -> RunConfig:
 # config documents
 
 def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
-    """Check what the library does not (time window, stride, paths, no
-    two outputs naming one file, finiteness), then run the library's
-    checks on grid, weights, sigma, model and collar; any failure becomes a
+    """Check what the library does not (time window, stride, paths a
+    config document can hold, finiteness), then run the library's checks
+    on grid, weights, sigma, model and collar; any failure becomes a
     ConfigError prefixed by ``where``."""
     def fail(message: str):
         raise ConfigError(f"{where}: {message}")
@@ -120,17 +120,6 @@ def _validate(cfg: RunConfig, where: str = "config") -> RunConfig:
                 or path != path.strip():
             fail(f"{key} path {path!r} must be one nonempty line without '#' "
                  f"or blanks at either end")
-    # no two outputs may name one file; a snapshot's file name keeps 6
-    # significant digits of its time
-    outputs = [(f"the {key} path", getattr(cfg, key)) for key in keys]
-    outputs += [(f"snapshot time {t!r}", _snapshot_path(cfg.csv, t))
-                for t in cfg.snapshots]
-    written: dict[str, str] = {}
-    for what, path in outputs:
-        target = os.path.abspath(path)
-        if target in written:
-            fail(f"{written[target]} and {what} would both write {path!r}")
-        written[target] = what
     try:
         grid = build_grid(cfg.J, cfg.K, cfg.l)
         build_weights(grid)
@@ -203,25 +192,40 @@ def _snapshot_path(csv: str, t: float) -> str:
     return f"{os.path.splitext(csv)[0]}_snapshot_t{t:g}.csv"
 
 
-def _write_lines(path: str, lines: list[str], what: str, error=ConfigError) -> None:
-    """Write ``lines``, each ended by LF; an OSError raises ``error``."""
+def _run_outputs(cfg: RunConfig) -> list[tuple[str, str]]:
+    """The (what, path) of each file ``run`` writes for ``cfg``, in order."""
+    outputs = [("energy CSV", cfg.csv)]
+    outputs += [(f"snapshot at t = {t!r}", _snapshot_path(cfg.csv, t))
+                for t in cfg.snapshots]
+    return outputs + ([("SVG", cfg.svg)] if cfg.svg else [])
+
+
+def _preflight(outputs: list[tuple[str, str]]) -> None:
+    """Every writing command's output policy, checked on all its (what,
+    path) ``outputs`` before its work: no two name one file, and none is a
+    directory or lies in a missing or unwritable one, which raises the
+    ``cannot write <what>`` ConfigError of ``_write_lines``."""
+    written: dict[str, str] = {}
+    for what, path in outputs:
+        target = os.path.abspath(path)
+        if target in written:
+            raise ConfigError(f"{written[target]} and {what} would both write {path!r}")
+        written[target] = what
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {what} {path!r}: it is a directory")
+        folder = os.path.dirname(path) or os.curdir
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write {what} {path!r}: directory {folder!r} "
+                              f"is missing or not writable")
+
+
+def _write_lines(path: str, lines: list[str], what: str) -> None:
+    """Write ``lines``, each ended by LF; an OSError raises ``cannot write``."""
     try:
         with open(path, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise error(f"cannot write {what} {path!r}: {exc}") from exc
-
-
-def _check_directory(path: str, what: str) -> None:
-    """Raise the writers' ``cannot write`` ConfigError if ``path`` is a
-    directory, or the directory it would be written into is missing or not
-    writable, so a command can fail before its work instead of after it."""
-    if os.path.isdir(path):
-        raise ConfigError(f"cannot write {what} {path!r}: it is a directory")
-    folder = os.path.dirname(path) or os.curdir
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-        raise ConfigError(f"cannot write {what} {path!r}: directory {folder!r} "
-                          f"is missing or not writable")
+        raise ConfigError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
 def write_energy_csv(records: list[EnergyRecord], path: str) -> None:
@@ -321,7 +325,7 @@ def emit_svg_plot(records: list[EnergyRecord], path: str,
     parts.append(f'<polyline fill="none" stroke="#1f6fb4" stroke-width="1.5" '
                  f'points="{points}"/>')
     parts.append("</svg>")
-    _write_lines(path, parts, "SVG", PlotError)
+    _write_lines(path, parts, "SVG")
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +390,7 @@ def _cmd_run(args) -> int:
     if cfg.svg and n_steps < 2:
         raise ConfigError(f"T = {cfg.T:g} rounds to 1 step of dt = {cfg.dt:g}; "
                           f"an SVG chart needs at least 2 steps to plot")
-    # before the march
-    _check_directory(cfg.csv, "energy CSV")
-    for t_req in cfg.snapshots:
-        _check_directory(_snapshot_path(cfg.csv, t_req), "snapshot")
-    if cfg.svg:
-        _check_directory(cfg.svg, "SVG")
+    _preflight(_run_outputs(cfg))
     result = run_config(cfg)
     write_energy_csv(result.records, cfg.csv)
     grid = build_grid(cfg.J, cfg.K, cfg.l)
@@ -407,8 +406,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_static(args) -> int:
     cfg = _load_config(args)
-    out = args.out or "static_solution.csv"
-    _check_directory(out, "snapshot")  # before the assembly and the solve
+    out = args.snapshot or "static_solution.csv"
+    _preflight([("snapshot", out)])
     ops, u = _static_field(cfg)
     dump_snapshot(u, ops.grid, out)
     print(f"wrote {out} (max |u| = {float(np.max(np.abs(u))):.6g})")
@@ -432,11 +431,9 @@ def _cmd_sweep(args) -> int:
     report = os.path.join(args.out_dir, "decay_fits.csv")
     stems = {name: os.path.join(args.out_dir, f"{name}_energy")
              for name in ("fig6", "fig7", "fig8")}
-    # before the first march
-    _check_directory(report, "fit report")
-    for stem in stems.values():
-        _check_directory(f"{stem}.csv", "energy CSV")
-        _check_directory(f"{stem}.svg", "SVG")
+    _preflight([("fit report", report)]
+               + [(what, f"{stem}.{ext}") for stem in stems.values()
+                  for what, ext in (("energy CSV", "csv"), ("SVG", "svg"))])
     rows = ["preset,best_model,rate_or_exponent,r2_exp,r2_alg"]
     # presets that share a plate share its system and initial field
     plates: dict[tuple, tuple[FactorizedSystem, np.ndarray]] = {}
@@ -488,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_static = sub.add_parser("static", exit_on_error=False,
                               help="solve the static bending problem")
     add_common(p_static)
-    p_static.add_argument("--out", help="snapshot CSV path")
+    p_static.add_argument("--out", dest="snapshot", help="snapshot CSV path")
     p_static.set_defaults(func=_cmd_static)
 
     p_fit = sub.add_parser("decay-fit", exit_on_error=False,

@@ -80,8 +80,8 @@ class FactorizedSystem:
     ``_direct.RTOL``, with M x formed as x + dt^2/2 (B x) from the sparse B;
     a miss raises SolveError.  ``solve`` returns that B x with x, so the
     next step reads B U^n instead of forming it; after a correction sweep it
-    is formed again on the corrected x.  ``ops`` and ``dt`` stay on the
-    system, so ``step`` and ``bootstrap`` read them from here.
+    is formed again on the corrected x.  ``ops``, ``dt`` and the shift
+    ``h`` = dt^2/2 stay on the system; ``step`` and ``bootstrap`` read them.
     """
 
     def __init__(self, ops: OperatorSet, dt: float):
@@ -89,13 +89,14 @@ class FactorizedSystem:
             raise ShapeError(f"time step must be positive and finite, got {dt}")
         self.ops = ops
         self.dt = dt
-        band = ops.band * (dt * dt / 2.0)
+        self.h = dt * dt / 2.0
+        band = ops.band * self.h
         band[0] += np.tile(level_weights(ops.grid), ops.grid.J)
         self._solver = ModalSolver(band, ops.grid)
 
     def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x with M x = rhs, and B x."""
-        check = _ShiftedProduct(self.ops.bilaplacian, self.dt * self.dt / 2.0)
+        check = _ShiftedProduct(self.ops.bilaplacian, self.h)
         x, _ = refine_solve(self._solver, check, rhs)
         return x, check.bx
 
@@ -190,7 +191,7 @@ def step(state: SimState, sys: FactorizedSystem, model: ModelConfig,
     new_index = state.step_index + 1
     if terms is None:
         terms = _level_terms(u, state.velocity(), model, ops, state.bu)
-    rhs = 2.0 * u - up - (dt * dt / 2.0) * terms.bu - dt * dt * terms.force
+    rhs = 2.0 * u - up - sys.h * terms.bu - dt * dt * terms.force
     if not np.isfinite(rhs).all():
         raise NonFiniteError(f"non-finite state at step {new_index}", new_index)
     u_next, bu_next = sys.solve(rhs)

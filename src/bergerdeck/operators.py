@@ -173,7 +173,6 @@ def _dy2_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
     the boundary identity u_yy = -sigma*u_xx directly (no 1/dy^2 factor),
     which is what the ghost elimination of the fourth difference consumes.
     """
-    check_sigma(sigma)
     ny = grid.K + 2
     inv_dy2 = 1.0 / (grid.dy * grid.dy)
     edges = np.zeros((ny, ny))
@@ -210,7 +209,6 @@ def _edge_rows(sigma: float, dy2: float) -> dict:
 def _dy4_levels(grid: Grid, sigma: float) -> np.ndarray:
     """Level matrices C_0, C_1, C_2 of the y fourth difference, unscaled:
     D_y^4 = sum_p kron(C_p, Lx^p) / dy^4."""
-    check_sigma(sigma)
     ny = grid.K + 2
     levels = np.zeros((3, ny, ny))
     levels[0] = _stencil(ny, (1.0, -4.0, 6.0, -4.0, 1.0), 2)
@@ -219,16 +217,16 @@ def _dy4_levels(grid: Grid, sigma: float) -> np.ndarray:
     return levels
 
 
-def _bilaplacian_levels(grid: Grid, sigma: float) -> list[np.ndarray]:
-    """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p).  With
-    D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E, Lx^2), they are
-    P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T and P_2 = I + C_2/dy^4 + 2 E.  Each
-    C_p/dy^4 is C_p * (1/dy^4), whose rounding the pinned operator bits
-    carry."""
+def _bilaplacian_levels(grid: Grid, sigma: float, maps: dict) -> list[np.ndarray]:
+    """Level matrices of the bilaplacian, B = sum_p kron(P_p, Lx^p), on the
+    u_yy levels T, E and the level identity I of the ``_maps`` table
+    ``maps``: with D_x^4 = Lx^2 and 2 D_x^2 D_y^2 = 2 kron(T, Lx) + 2 kron(E,
+    Lx^2), P_0 = C_0/dy^4, P_1 = C_1/dy^4 + 2 T, P_2 = I + C_2/dy^4 + 2 E.
+    Each C_p/dy^4 is C_p * (1/dy^4), whose rounding the pinned bits carry."""
     dy4 = (grid.dy * grid.dy) * (grid.dy * grid.dy)
     c0, c1, c2 = _dy4_levels(grid, sigma) * (1.0 / dy4)
-    t, e = _dy2_levels(grid, sigma)
-    return [c0, c1 + 2.0 * t, np.eye(grid.K + 2) + c2 + 2.0 * e]
+    (eye,), (t, e) = maps["xx"][0], maps["yy"][0]
+    return [c0, c1 + 2.0 * t, eye + c2 + 2.0 * e]
 
 
 def modal_band(grid: Grid, levels: list[np.ndarray]) -> np.ndarray:
@@ -290,7 +288,9 @@ def _maps(grid: Grid, sigma: float) -> dict[str, tuple[list, tuple]]:
     that order, each as its (level matrices, x factors) pair, the map being
     sum_p kron(C_p, X_p), all from one Lx, one D_x and one I (CSR):
     ``_kron_sum(*pair)`` assembles a map on the flat field, and
-    ``quarter_maps`` folds it onto the even-even quarter."""
+    ``quarter_maps`` folds it onto the even-even quarter.  A ``sigma``
+    outside (0, 1/2) raises ParameterError, checked here once per table."""
+    check_sigma(sigma)
     eye_y, d_y = [np.eye(grid.K + 2)], _dy_levels(grid)
     eye_x, d_x = sp.identity(grid.J, format="csr"), _centered_dx(grid)
     lx = assemble_d2_1d(grid.J, grid.dx)
@@ -343,7 +343,7 @@ def build_operators(grid: Grid, sigma: float, damping_width: int) -> OperatorSet
     Lx of the ``_maps`` table and their ``_hinged_d4``, its ``modal_band``
     and u_xx; ``OperatorSet.assemble`` gives the other maps."""
     maps = _maps(grid, sigma)
-    levels = _bilaplacian_levels(grid, sigma)
+    levels = _bilaplacian_levels(grid, sigma, maps)
     eye, lx = maps["yy"][1]
     band = modal_band(grid, levels)
     band.setflags(write=False)

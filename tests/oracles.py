@@ -28,8 +28,8 @@ from bergerdeck.errors import (BergerdeckError, ConfigError, ParameterError,
 from bergerdeck.grid import Grid, QuadratureWeights
 from bergerdeck.operators import (SparseOperator, _bilaplacian_levels,
                                   _dy2_levels, _dy4_levels, _edge_rows,
-                                  _finalize, _kron_sum, assemble_d2_1d,
-                                  check_sigma)
+                                  _finalize, _kron_sum, _maps,
+                                  assemble_d2_1d, check_sigma)
 
 
 def dense_lx(J: int, dx: float) -> np.ndarray:
@@ -478,7 +478,7 @@ def kron_operators(grid: Grid, sigma: float) -> dict[str, sp.csr_matrix]:
     x_map = kron_sum([eye_y], (d1,))
     y_map = kron_sum([sp.csr_matrix(dy1)], (eye_x,))
     return {
-        "bilaplacian": kron_sum(_bilaplacian_levels(grid, sigma),
+        "bilaplacian": kron_sum(_bilaplacian_levels(grid, sigma, _maps(grid, sigma)),
                                 (eye_x, lx, lx @ lx)),
         "dy2": kron_sum(_dy2_levels(grid, sigma), (eye_x, lx)),
         "dxx": kron_sum([eye_y], (lx,)),

@@ -277,6 +277,13 @@ def test_svg_needs_two_points(tmp_path):
         emit_svg_plot([_rec(1, 0.0, 1.0)], str(tmp_path / "p.svg"))
 
 
+def test_svg_write_failure_is_a_config_error(tmp_path):
+    # the writers' one failure for an output path, as the pre-flight's
+    path = tmp_path / "missing" / "p.svg"
+    with pytest.raises(ConfigError, match="cannot write SVG"):
+        emit_svg_plot([_rec(1, 0.0, 2.0), _rec(2, 1.0, 1.0)], str(path))
+
+
 # --- command-line entry ------------------------------------------------------------
 
 def _small_config_text(tmp_path, **extra):
@@ -526,6 +533,32 @@ def test_main_sweep_output_that_is_a_directory_exits_1_before_the_marches(
     assert main(["sweep", "--out-dir", str(out_dir)]) == 1
     assert "error: cannot write SVG" in capsys.readouterr().err
     assert [path.name for path in out_dir.iterdir()] == ["fig8_energy.svg"]
+
+
+def test_main_static_out_is_only_the_snapshot_path(tmp_path, capsys):
+    # static writes its snapshot alone: the run's svg path in the config
+    # and a '#' a config document could not hold are no concern of it
+    svg = tmp_path / "s.svg"
+    cfg_path = _small_config_text(tmp_path, svg=svg)
+    assert main(["static", "--config", cfg_path, "--out", str(svg)]) == 0
+    assert svg.read_text().startswith("k,j,x,y,value")
+    out = tmp_path / "a#b.csv"
+    assert main(["static", "--config", cfg_path, "--out", str(out)]) == 0
+    assert out.read_text().startswith("k,j,x,y,value")
+    assert "error" not in capsys.readouterr().err
+
+
+def test_colliding_run_outputs_stop_run_but_not_lambda1(tmp_path, monkeypatch,
+                                                          capsys):
+    import bergerdeck.cli as cli_mod
+    cfg_path = _small_config_text(tmp_path, svg=tmp_path / "energy.csv")
+    assert main(["lambda1", "--config", cfg_path]) == 0
+    assert "lambda1 = " in capsys.readouterr().out
+    monkeypatch.setattr(cli_mod, "build_operators",
+                        lambda *args: pytest.fail("the plate was built"))
+    assert main(["run", "--config", cfg_path]) == 1
+    assert "energy CSV and SVG would both write" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_main_missing_config_exits_1(tmp_path, capsys):

@@ -117,7 +117,7 @@ class _IdentitySystem:
     """Stands in for the factorized M = I + dt^2/2 B when B = 0."""
 
     def __init__(self, ops, dt):
-        self.ops, self.dt = ops, dt
+        self.ops, self.dt, self.h = ops, dt, dt * dt / 2.0
 
     def solve(self, rhs):
         return rhs.copy(), self.ops.bilaplacian @ rhs

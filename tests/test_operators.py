@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bergerdeck import build_grid, build_operators
 from bergerdeck.errors import ParameterError, SizingError
 from bergerdeck.operators import (_bilaplacian_levels, _dy2_levels,
-                                  _dy4_levels, _dy_levels, _kron_sum,
+                                  _dy4_levels, _dy_levels, _kron_sum, _maps,
                                   assemble_d2_1d, assemble_d4_hinged_1d,
                                   level_weights, quarter_maps)
 from oracles import (assemble_dy4, band_matrix, dense_bilaplacian, dense_dy2,
@@ -390,7 +390,9 @@ def test_kron_sum_matches_sparse_kron_bits(n_y, n_x, terms, seed):
 LEVELS = {
     "dy2": (_dy2_levels, sparse_dy2_levels),
     "dy4": (_dy4_levels, sparse_dy4_levels),
-    "bilaplacian": (_bilaplacian_levels, sparse_bilaplacian_levels),
+    "bilaplacian": (lambda grid, sigma: _bilaplacian_levels(grid, sigma,
+                                                            _maps(grid, sigma)),
+                    sparse_bilaplacian_levels),
     "dy": (lambda grid, sigma: _dy_levels(grid),
            lambda grid, sigma: sparse_dy_levels(grid)),
 }
@@ -457,7 +459,7 @@ def test_modal_band_reproduces_bilaplacian(J, K, sigma):
 def test_bilaplacian_levels_commute_with_level_flip(J, K, sigma):
     # the plate's y -> -y symmetry: F P F == P, bit for bit
     grid = build_grid(J, K, math.pi / 4)
-    for level in _bilaplacian_levels(grid, sigma):
+    for level in _bilaplacian_levels(grid, sigma, _maps(grid, sigma)):
         dense = _entries(level)
         np.testing.assert_array_equal(dense[::-1, ::-1], dense)
 
