@@ -10,8 +10,8 @@ The total energy splits as
 
 with F(u,u) = u_xx^2 + u_yy^2 + 2 sigma u_xx u_yy + 2 (1-sigma) u_xy^2.
 Velocities are backward differences of consecutive field levels, so the
-records lag the field by half a step; that offset is what makes the
-measured energy of the damped scheme monotone.
+records lag the field by half a step.  The measured energy need not be
+monotone: it rises on some runs after the start-up step (``integrator``).
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class PlateFormEvaluator:
                 "energy needs two field levels; call after the bootstrap step")
         u = state.u_curr
         if terms is None:
-            v, uxx, q = state.velocity(), self.sxx @ u, stretch_integral(u, self.weights)
+            v, uxx = state.velocity(), self.sxx @ u
+            q = stretch_integral(u, uxx, self.weights)
         else:
             v, uxx, q = terms.velocity, terms.uxx, terms.q
         kinetic = 0.5 * self.weights.integrate_cells(v * v)

@@ -63,6 +63,11 @@ def build_grid(J: int, K: int, l: float) -> Grid:
         raise SizingError(f"half-width l must be positive, got {l}")
     dx = math.pi / (J + 1)
     dy = 2.0 * l / (K + 1)
+    # the y fourth difference divides by dy^4
+    dy4 = (dy * dy) * (dy * dy)
+    if not 0.0 < dy4 < math.inf or not 0.0 < 1.0 / dy4 < math.inf:
+        raise SizingError(f"half-width l = {l:g} puts dy^4 = {dy4:g} or its "
+                          f"reciprocal outside the positive finite floats")
     return Grid(J=J, K=K, l=float(l), dx=dx, dy=dy, n_dof=J * (K + 2))
 
 

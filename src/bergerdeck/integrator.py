@@ -9,11 +9,13 @@ One step solves
 with B the discrete bilaplacian, phi the nonlocal stretching coefficient,
 and V^n = (U^n - U^{n-1})/dt the backward-difference velocity that also
 feeds the damping term.  The averaged bilaplacian makes the scheme
-unconditionally stable and dissipative at first order in dt; the measured
-energy of a run is non-increasing after the start-up step.  That
-dissipation is not small at the preset dt = 0.01: over T = 30 the scheme
-itself removes 0.43 of E0 under fig7, 0.63 under fig6 and 0.07 under fig8,
-and 0.91 under fig7 with no collar.
+unconditionally stable and dissipative at first order in dt, and that is
+not small at the preset dt = 0.01: over T = 30 the scheme itself removes
+0.43 of E0 under fig7, 0.63 under fig6 and 0.07 under fig8, and 0.91
+under fig7 with no collar.  The measured energy of the preset runs does
+not rise after the start-up step, but other runs' can: from the static
+field of a 50 sin(4x) load it rises 204 times under sqrt feedback and 21
+under piecewise, by up to 1.0e-10 of E0.
 
 The orthonormal DST-I along x diagonalizes the hinged x second difference,
 and every y block of B is a polynomial in it, so I + dt^2/2 B splits into
@@ -121,7 +123,7 @@ class LevelTerms:
 
     bu: np.ndarray        # B u
     uxx: np.ndarray       # D_x^2 u
-    q: float              # stretch integral of u
+    q: float              # stretch integral -<u, D_x^2 u>_D
     velocity: np.ndarray  # V
     force: np.ndarray     # phi(u) D_x^2 u + a g(V)
     power: float          # <a g(V), V>, the damping ledger's integrand
@@ -140,11 +142,11 @@ def _damping_force(V: np.ndarray, model: ModelConfig,
 def _applied_force(U: np.ndarray, damping: np.ndarray, model: ModelConfig,
                    ops: OperatorSet) -> tuple[np.ndarray, np.ndarray, float]:
     """phi(U) * u_xx + a * g(V), the non-bilaplacian right-hand terms, with
-    the damping term a * g(V) passed in; also u_xx and the stretch integral
-    q(U) of phi = -P + S q."""
+    the damping term a * g(V) passed in; also u_xx = D_x^2 U and, from that
+    same u_xx, the stretch integral q = -<U, u_xx>_D of phi = -P + S q."""
     uxx = ops.dxx @ U
     # looked up on the module, where perfbench's tracer wraps it
-    q = _model.stretch_integral(U, ops.weights)
+    q = _model.stretch_integral(U, uxx, ops.weights)
     return (-model.P + model.S * q) * uxx + damping, uxx, q
 
 

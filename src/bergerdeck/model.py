@@ -192,28 +192,25 @@ def damping_mask(grid: Grid, width: int) -> DampingField:
 # ---------------------------------------------------------------------------
 # nonlocal stretching coefficient
 
-def stretch_integral(U: np.ndarray, weights: QuadratureWeights) -> float:
-    """Quadrature of u_x^2 with the centered first difference.
-
-    Hinged values at j = 0, J+1 are exact zeros inside the stencil.  The
-    level sums are combined with math.fsum, so the result is invariant under
-    any reordering of the y-levels (exact reflection symmetry).  One batched
-    matmul of row against column takes every level's dot product with the
-    same bits as ``np.dot`` on that level; ``np.einsum`` sums in another
-    order.
+def stretch_integral(U: np.ndarray, uxx: np.ndarray,
+                     weights: QuadratureWeights) -> float:
+    """q = -<U, D_x^2 U>_D from ``uxx`` = D_x^2 U, the u_xx that the Berger
+    force phi(q) D_x^2 U applies; D weighs a node by ``weights.wy`` in y
+    times dx in x.  By parts, q sums u_x^2 by forward differences over each
+    level's J+1 cells, and its D-gradient is -2 D_x^2 U: the force is the
+    exact gradient of the stretch energy -P q/2 + S q^2/4.  One batched
+    matmul of row against column takes each level's dot product with the
+    bits of ``np.dot`` (``np.einsum`` sums in another order); the levels,
+    weighted by ``wy``, are combined with math.fsum, so q is invariant under
+    any reordering of the y-levels (exact reflection symmetry).
     """
     grid = weights.grid
-    if U.shape != (grid.n_dof,):
-        raise ShapeError(f"expected state of length {grid.n_dof}, got {U.shape}")
-    u2 = U.reshape(grid.shape)
-    ux = np.empty_like(u2)
-    inv2dx = 1.0 / (2.0 * grid.dx)
-    ux[:, 1:-1] = (u2[:, 2:] - u2[:, :-2]) * inv2dx
-    ux[:, 0] = u2[:, 1] * inv2dx
-    ux[:, -1] = -u2[:, -2] * inv2dx
-    cell2 = weights.cell.reshape(grid.shape)
-    sq = ux * ux
-    return math.fsum(np.matmul(cell2[:, None, :], sq[:, :, None]).ravel())
+    if U.shape != (grid.n_dof,) or uxx.shape != (grid.n_dof,):
+        raise ShapeError(f"expected state and u_xx of length {grid.n_dof}, "
+                         f"got {U.shape} and {uxx.shape}")
+    levels = np.matmul(U.reshape(grid.shape)[:, None, :],
+                       uxx.reshape(grid.shape)[:, :, None]).ravel()
+    return -grid.dx * math.fsum(weights.wy * levels)
 
 
 # ---------------------------------------------------------------------------

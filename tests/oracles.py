@@ -131,43 +131,28 @@ def dense_bilaplacian(J: int, K: int, l: float, sigma: float) -> np.ndarray:
     return dx4 + dense_dy4(J, K, l, sigma) + 2.0 * dxx @ dense_dy2(J, K, l, sigma)
 
 
-def dense_cell_weights(J: int, K: int, l: float) -> np.ndarray:
-    """Simpson-x (end weights folded inward) times trapezoid-y, per unknown."""
+def dense_stretch(U: np.ndarray, J: int, K: int, l: float) -> float:
+    """q_D = -<U, D_x^2 U>_D summed by parts: dx times the squared forward
+    difference on each of a level's J+1 cells (hinged ends zero), weighted
+    by the trapezoid y weights."""
     dx = math.pi / (J + 1)
     dy = 2.0 * l / (K + 1)
-    wx = np.empty(J)
-    for idx in range(J):
-        j = idx + 1
-        wx[idx] = (4.0 if j % 2 == 1 else 2.0) * dx / 3.0
-    wx[0] += dx / 3.0
-    wx[-1] += dx / 3.0
+    padded = np.zeros((K + 2, J + 2))
+    padded[:, 1:-1] = U.reshape(K + 2, J)
+    fwd = (padded[:, 1:] - padded[:, :-1]) / dx
     wy = np.full(K + 2, dy)
     wy[0] = wy[-1] = dy / 2.0
-    return np.outer(wy, wx).ravel()
+    return float(wy @ (fwd * fwd).sum(axis=1)) * dx
 
 
-def dense_stretch(U: np.ndarray, J: int, K: int, l: float) -> float:
-    dx = math.pi / (J + 1)
-    u2 = U.reshape(K + 2, J)
-    ux = np.zeros_like(u2)
-    for c in range(J):
-        left = u2[:, c - 1] if c >= 1 else 0.0
-        right = u2[:, c + 1] if c + 1 < J else 0.0
-        ux[:, c] = (right - left) / (2.0 * dx)
-    w = dense_cell_weights(J, K, l)
-    return float(w @ (ux.ravel() ** 2))
-
-
-def level_dot_stretch(U: np.ndarray, weights) -> float:
+def level_dot_stretch(U: np.ndarray, uxx: np.ndarray, weights) -> float:
     """Per-level reference for ``model.stretch_integral``: one ``np.dot``
-    of the cell weights against u_x^2 on each level, then ``math.fsum``."""
+    of U against u_xx on each level, weighted by that level's ``wy``, then
+    ``math.fsum`` and the factor -dx."""
     grid = weights.grid
-    u2 = U.reshape(grid.shape)
-    padded = np.zeros((grid.K + 2, grid.J + 2))
-    padded[:, 1:-1] = u2
-    ux = (padded[:, 2:] - padded[:, :-2]) * (1.0 / (2.0 * grid.dx))
-    cell2 = weights.cell.reshape(grid.shape)
-    return math.fsum(float(np.dot(cell2[k], ux[k] * ux[k])) for k in range(grid.K + 2))
+    u2, uxx2 = U.reshape(grid.shape), uxx.reshape(grid.shape)
+    return -grid.dx * math.fsum(float(weights.wy[k]) * float(np.dot(u2[k], uxx2[k]))
+                                for k in range(grid.K + 2))
 
 
 def dense_step(u_curr: np.ndarray, u_prev: np.ndarray, J: int, K: int,
@@ -224,8 +209,10 @@ def dump_snapshot_per_node(U: np.ndarray, grid: Grid, path: str) -> None:
 
 
 def berger_coefficient(U: np.ndarray, weights, P: float, S: float) -> float:
-    """Nonlocal coefficient -P + S * integral of u_x^2."""
-    return -P + S * stretch_integral(U, weights)
+    """Nonlocal coefficient -P + S q_D, with u_xx from ``dense_lx``."""
+    grid = weights.grid
+    uxx = U.reshape(grid.shape) @ dense_lx(grid.J, grid.dx).T
+    return -P + S * stretch_integral(U, uxx.ravel(), weights)
 
 
 def gradient_maps(grid: Grid) -> tuple[SparseOperator, SparseOperator]:

@@ -393,6 +393,21 @@ def test_main_run_past_the_float_range_of_steps_exits_1(tmp_path, capsys,
     assert not (tmp_path / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("l", [1e-100, 1e300])
+@pytest.mark.parametrize("command", ["run", "static", "lambda1"])
+def test_main_half_width_past_the_float_range_of_dy4_exits_1(tmp_path, capsys,
+                                                            command, l):
+    # dy^4 underflows to 0 at l = 1e-100, which raised ZeroDivisionError,
+    # and overflows to inf at l = 1e300, which gave a nan solve residual,
+    # or a lambda1 printed from an inf plate
+    out = tmp_path / "energy.csv"
+    cfg = tmp_path / "plate.cfg"
+    cfg.write_text(f"[grid]\nJ = 21\nK = 11\nl = {l!r}\n[output]\ncsv = {out}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"half-width l = {l:g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_validation_error_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physics]\nsigma = 0.9\n")

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergerdeck import (ExpDegenerate, Linear, Piecewise, Power, SqrtOdd,
-                        build_grid, build_weights, damping_mask, eval_feedback,
-                        feedback_from_name, feedback_name, make_model,
-                        stretch_integral)
+                        build_grid, build_operators, build_weights,
+                        damping_mask, eval_feedback, feedback_from_name,
+                        feedback_name, make_model, stretch_integral)
 from bergerdeck.errors import ParameterError, ShapeError, SizingError
 from oracles import berger_coefficient, level_dot_stretch
 
@@ -160,15 +160,14 @@ def test_stretch_integral_of_sine(preset_grid):
     w = build_weights(preset_grid)
     X, _ = preset_grid.meshgrid()
     U = np.sin(X).ravel()
-    q = stretch_integral(U, w)
+    dxx = build_operators(preset_grid, 0.2, 0).dxx
+    q = stretch_integral(U, dxx @ U, w)
     area = math.pi * preset_grid.l
-    # centered differencing scales the true integral by (sin dx / dx)^2
     assert abs(q - area) <= area * preset_grid.dx ** 2 / 2
+    # D_x^2 sin = -(2 sin(dx/2) / dx)^2 sin on the grid, and dx times the
+    # sum of sin^2 over a level is pi/2
     dx = preset_grid.dx
-    # full truncation model: difference factor plus the folded end weights
-    expected = (math.sin(dx) / dx) ** 2 \
-        * (math.pi / 2 - (2 * dx / 3) * math.sin(dx) ** 2) * (math.pi / 2)
-    assert q == pytest.approx(expected, rel=1e-8)
+    assert q == pytest.approx((2 * math.sin(dx / 2) / dx) ** 2 * area, rel=1e-12)
     # the nonlocal coefficient at the experiment constants
     phi = berger_coefficient(U, w, P=1e-3, S=1e-5)
     assert phi == pytest.approx(-1e-3 + 1e-5 * math.pi ** 2 / 4, abs=1e-4)
@@ -178,8 +177,9 @@ def test_phi_reflection_invariance(tiny_grid, tiny_weights):
     rng = np.random.default_rng(7)
     U = rng.normal(size=tiny_grid.n_dof)
     reflected = U.reshape(tiny_grid.shape)[::-1].ravel()
-    q1 = stretch_integral(U, tiny_weights)
-    q2 = stretch_integral(reflected, tiny_weights)
+    dxx = build_operators(tiny_grid, 0.2, 0).dxx
+    q1 = stretch_integral(U, dxx @ U, tiny_weights)
+    q2 = stretch_integral(reflected, dxx @ reflected, tiny_weights)
     assert q1 == q2  # exact, by order-independent level summation
 
 
@@ -188,16 +188,69 @@ def test_stretch_integral_matches_level_dots(grid_name, request):
     # the batched row-by-column product carries np.dot's bits on every level
     grid = request.getfixturevalue(grid_name)
     weights = build_weights(grid)
+    dxx = build_operators(grid, 0.2, 0).dxx
     rng = np.random.default_rng(11)
     for scale in (1e-6, 1.0, 1e3):
         for _ in range(20):
             U = scale * rng.normal(size=grid.n_dof)
-            assert stretch_integral(U, weights) == level_dot_stretch(U, weights)
+            uxx = dxx @ U
+            assert stretch_integral(U, uxx, weights) == level_dot_stretch(U, uxx, weights)
 
 
-def test_phi_shape_error(tiny_weights):
-    with pytest.raises(ShapeError, match="length"):
-        berger_coefficient(np.zeros(7), tiny_weights, 0.0, 0.0)
+def _d_weights(grid, weights):
+    """The D inner product's weights: wy in y times dx in x, per node."""
+    return np.repeat(weights.wy, grid.J) * grid.dx
+
+
+@pytest.mark.parametrize("grid_name", ["tiny_grid", "preset_grid"])
+def test_stretch_integral_is_a_symmetric_bilinear_form_in_D(grid_name, request):
+    # b(U, V) = -<U, D_x^2 V>_D, taken as q's form, is the explicit D sum,
+    # symmetric and linear
+    grid = request.getfixturevalue(grid_name)
+    weights = build_weights(grid)
+    dxx = build_operators(grid, 0.2, 0).dxx
+    d = _d_weights(grid, weights)
+
+    def form(a, b):
+        return stretch_integral(a, dxx @ b, weights)
+
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        U, V, W = rng.normal(size=(3, grid.n_dof))
+        scale = math.sqrt(form(U, U) * form(V, V))
+        assert abs(form(U, V) - form(V, U)) <= 1e-13 * scale
+        assert abs(form(U, V) + d @ (U * (dxx @ V))) <= 1e-13 * scale
+        assert abs(form(2.5 * U - V, W) - (2.5 * form(U, W) - form(V, W))) \
+            <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("grid_name", ["tiny_grid", "preset_grid"])
+def test_stretch_integral_gradient_is_minus_twice_dxx(grid_name, request):
+    # the Berger force phi(q) D_x^2 U is the D-gradient of the stretch
+    # energy -P q/2 + S q^2/4 only because dq = <-2 D_x^2 U, dU>_D
+    grid = request.getfixturevalue(grid_name)
+    weights = build_weights(grid)
+    dxx = build_operators(grid, 0.2, 0).dxx
+    d = _d_weights(grid, weights)
+
+    def q(a):
+        return stretch_integral(a, dxx @ a, weights)
+
+    # q is quadratic, so the central difference is exact up to rounding,
+    # about 1e-16 q / eps: 1.6e-8 relative at most on the preset grid
+    rng = np.random.default_rng(9)
+    eps = 1e-6
+    for _ in range(5):
+        U, V = rng.normal(size=(2, grid.n_dof))
+        central = (q(U + eps * V) - q(U - eps * V)) / (2 * eps)
+        assert central == pytest.approx(d @ (-2.0 * (dxx @ U) * V), rel=1e-7)
+
+
+def test_phi_shape_error(tiny_grid, tiny_weights):
+    n = tiny_grid.n_dof
+    for U, uxx in ((np.zeros(7), np.zeros(n)), (np.zeros(n), np.zeros(7))):
+        with pytest.raises(ShapeError, match="length"):
+            stretch_integral(U, uxx, tiny_weights)
 
 
 # --- model construction -----------------------------------------------------------
